@@ -5,14 +5,13 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Zero-fault overhead** — wall-clock of
-//!    `FaultTolerantServer::serve_report` with `FaultPlan::none()` against
-//!    the plain `InferenceServer::serve` on the same batch (both produce
-//!    the accounting report without materializing outputs, so the delta is
-//!    the chaos layer itself). The layer must cost plan lookups, not a
-//!    different code path: the acceptance bar is < 2% overhead on the min-of-samples timings (the
-//!    reports themselves are bit-identical, enforced by
-//!    `tests/fault_tolerance.rs`).
+//! 1. **Zero-fault overhead** — wall-clock of `OnlineServer::serve_batch`
+//!    (immediate dispatch, `FaultPlan::none()`) against the plain
+//!    `InferenceServer::serve` on the same batch. Both run the approximate
+//!    pipeline once per request; `serve_batch` adds the event loop, the
+//!    plan lookups, a copy of each request's inputs, and keeping the
+//!    outputs it already computed. Timings are min-of-samples; the reports
+//!    themselves are bit-identical (enforced by `tests/fault_tolerance.rs`).
 //! 2. **Fault-rate sweep** — one fault class at a time at increasing
 //!    rates, reporting the simulated-clock p99 completion latency, the
 //!    degraded fraction, the failed fraction, and mean retries. Latencies
@@ -25,7 +24,8 @@ use std::time::Instant;
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_fault::{FaultPlan, FaultRates};
 use elsa_linalg::SeededRng;
-use elsa_runtime::{FailoverPolicy, FaultTolerantServer, InferenceServer};
+use elsa_runtime::InferenceServer;
+use elsa_serve::{OnlineServer, ServeConfig};
 use elsa_sim::AcceleratorConfig;
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
@@ -59,12 +59,8 @@ fn main() {
 
     // 1. Zero-fault wrapper overhead.
     let plain = InferenceServer::new(config(), operator.clone());
-    let wrapped = FaultTolerantServer::new(
-        config(),
-        operator.clone(),
-        FaultPlan::none(),
-        FailoverPolicy::default(),
-    );
+    let batched =
+        OnlineServer::new(config(), operator.clone(), FaultPlan::none(), ServeConfig::immediate());
     // The overhead being measured is sub-percent, so raw timings drown in
     // host noise. Take *paired* samples — each iteration times both servers
     // back to back, alternating which goes first so neither side
@@ -74,34 +70,34 @@ fn main() {
     // cost while a median ratio still wobbles by several percent. Pinned
     // to one worker: the thread pool's scheduling jitter would otherwise
     // swamp the signal, and the chaos layer's cost (plan lookups in the
-    // serial dispatch fold) is worker-independent.
+    // serial event loop) is worker-independent.
     let pairs = 40;
-    let (mut plain_s, mut wrapped_s) = (f64::INFINITY, f64::INFINITY);
+    let (mut plain_s, mut batch_s) = (f64::INFINITY, f64::INFINITY);
     elsa_parallel::with_threads(1, || {
         let time_plain = |plain_s: &mut f64| {
             let t = Instant::now();
             std::hint::black_box(plain.serve(&batch));
             *plain_s = plain_s.min(t.elapsed().as_secs_f64());
         };
-        let time_wrapped = |wrapped_s: &mut f64| {
+        let time_batch = |batch_s: &mut f64| {
             let t = Instant::now();
-            std::hint::black_box(wrapped.serve_report(&batch).expect("zero-fault plan"));
-            *wrapped_s = wrapped_s.min(t.elapsed().as_secs_f64());
+            std::hint::black_box(batched.serve_batch(&batch).expect("zero-fault plan"));
+            *batch_s = batch_s.min(t.elapsed().as_secs_f64());
         };
         let mut warmup = f64::INFINITY;
         time_plain(&mut warmup);
-        time_wrapped(&mut warmup);
+        time_batch(&mut warmup);
         for i in 0..pairs {
             if i % 2 == 0 {
                 time_plain(&mut plain_s);
-                time_wrapped(&mut wrapped_s);
+                time_batch(&mut batch_s);
             } else {
-                time_wrapped(&mut wrapped_s);
+                time_batch(&mut batch_s);
                 time_plain(&mut plain_s);
             }
         }
     });
-    let overhead_pct = (wrapped_s / plain_s - 1.0) * 100.0;
+    let overhead_pct = (batch_s / plain_s - 1.0) * 100.0;
 
     // 2. Fault-rate sweep, one class at a time.
     let sweeps: [(&'static str, fn(f64) -> FaultRates); 3] = [
@@ -116,13 +112,13 @@ fn main() {
     let mut rows: Vec<SweepRow> = Vec::new();
     for (fault, rates) in sweeps {
         for rate in [0.0, 0.05, 0.1, 0.2, 0.4] {
-            let server = FaultTolerantServer::new(
+            let server = OnlineServer::new(
                 config(),
                 operator.clone(),
                 FaultPlan::seeded(PLAN_SEED, rates(rate)),
-                FailoverPolicy::default(),
+                ServeConfig::immediate(),
             );
-            let report = server.serve_report(&batch).expect("no unit death in the sweep");
+            let report = server.serve_batch(&batch).expect("no unit death in the sweep").report;
             let n = report.records.len() as f64;
             rows.push(SweepRow {
                 fault,
@@ -144,11 +140,11 @@ fn main() {
     println!("  \"num_accelerators\": 4,");
     println!("  \"plan_seed\": {PLAN_SEED},");
     println!(
-        "  \"note\": \"zero_fault_overhead_pct is host wall-clock: < 2 on a quiet host (the chaos layer is plan lookups, not a second code path; shared containers add a few percent of one-sided noise); sweep latencies are the simulator's deterministic virtual clock and reproduce exactly on any host.\","
+        "  \"note\": \"zero_fault is host wall-clock of OnlineServer::serve_batch (immediate dispatch, zero-fault plan) vs InferenceServer::serve on the same batch: both run the approximate pipeline once per request, serve_batch adds the event loop, plan lookups and a copy of each request's inputs; shared hosts add a few percent of one-sided noise. Sweep latencies are the simulator's deterministic virtual clock and reproduce exactly on any host.\","
     );
     println!("  \"zero_fault\": {{");
     println!("    \"plain_serve_min_s\": {plain_s:.6},");
-    println!("    \"wrapped_serve_min_s\": {wrapped_s:.6},");
+    println!("    \"serve_batch_min_s\": {batch_s:.6},");
     println!("    \"overhead_pct\": {overhead_pct:.3}");
     println!("  }},");
     println!("  \"sweep\": [");

@@ -31,12 +31,12 @@ use std::collections::BTreeMap;
 use elsa_core::ElsaAttention;
 use elsa_fault::{FaultPlan, HealthTracker, NodeFaultPlan};
 use elsa_linalg::ops;
-use elsa_runtime::{InferenceServer, RuntimeError};
+use elsa_runtime::RuntimeError;
 use elsa_serve::clock::ns_to_secs;
 use elsa_serve::{
-    prepare_turns, session_admissions, CacheConfig, NodeEngine, NodeParts, OnlineRecord, Outcome,
-    PreparedRequest, QueuedRequest, ServeConfig, SessionBook, SessionRegistry, SessionTrace,
-    SessionTurnRequest,
+    plan_health, prepare_turns, session_admissions, CacheConfig, NodeEngine, NodeParts,
+    OnlineRecord, Outcome, PreparedRequest, QueuedRequest, ServeConfig, SessionBook,
+    SessionRegistry, SessionTrace, SessionTurnRequest,
 };
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
@@ -115,7 +115,7 @@ impl ClusterConfig {
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    operator: ElsaAttention,
+    accel: ElsaAccelerator,
 }
 
 impl Cluster {
@@ -134,19 +134,22 @@ impl Cluster {
         }
     }
 
-    /// Builds the fleet, reporting an operator/hardware misfit as a typed
-    /// error.
+    /// Builds the fleet, reporting a malformed batch policy or an
+    /// operator/hardware misfit as a typed error.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Misfit`] when the hardware configuration is
-    /// invalid or the operator's dimensions do not match it.
+    /// Returns [`RuntimeError::InvalidBatchPolicy`] when the per-node batch
+    /// policy is malformed (zero batch size, no buckets, non-ascending
+    /// bucket bounds), or [`RuntimeError::Misfit`] when the hardware
+    /// configuration is invalid or the operator's dimensions do not match
+    /// it.
     ///
     /// # Panics
     ///
-    /// Panics on a zero-node fleet, a malformed batch policy, a malformed
-    /// autoscale configuration, or `initial_active` exceeding the
-    /// provisioned node count — construction bugs, not inputs.
+    /// Panics on a zero-node fleet, a malformed autoscale configuration, or
+    /// `initial_active` exceeding the provisioned node count — construction
+    /// bugs, not inputs.
     pub fn try_new(config: ClusterConfig, operator: ElsaAttention) -> Result<Self, RuntimeError> {
         assert!(config.nodes > 0, "a fleet needs at least one node");
         if let Some(initial) = config.initial_active {
@@ -156,12 +159,12 @@ impl Cluster {
                 config.nodes
             );
         }
-        config.serve.batch.validate();
+        config.serve.batch.try_validate()?;
         if let Some(a) = &config.autoscale {
             a.validate();
         }
-        let _ = InferenceServer::try_new(config.accel, operator.clone())?;
-        Ok(Self { config, operator })
+        let accel = ElsaAccelerator::try_new(config.accel, operator)?;
+        Ok(Self { config, accel })
     }
 
     /// The fleet configuration.
@@ -192,9 +195,9 @@ impl Cluster {
             trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
             "session trace ids must be arrival-order indices"
         );
-        let accel = ElsaAccelerator::try_new(self.config.accel, self.operator.clone())?;
+        let accel = &self.accel;
         // The one parallel stage: shared, order-preserving, node-agnostic.
-        let prepared = prepare_turns(&accel, &self.config.accel, &trace.requests)?;
+        let prepared = prepare_turns(accel, &self.config.accel, &trace.requests)?;
         let admissions = session_admissions(&self.config.serve.batch, &trace.requests);
 
         let n = self.config.nodes;
@@ -208,12 +211,7 @@ impl Cluster {
             // correlate with node 7's.
             let plan = self.config.unit_faults.fork(node as u64);
             let units = self.config.accel.num_accelerators;
-            let mut unit_health = HealthTracker::new(units, self.config.serve.quarantine_after);
-            for unit in 0..units {
-                if plan.unit_dead(unit) {
-                    unit_health.mark_dead(unit);
-                }
-            }
+            let unit_health = plan_health(&plan, units, self.config.serve.quarantine_after);
             if unit_health.num_available() == 0 {
                 // Every accelerator dead at provisioning: the node is dead
                 // on arrival (a fleet tolerates it; a lone server errors).
@@ -222,17 +220,11 @@ impl Cluster {
             }
             let scale = self.config.node_faults.slow_factor(node);
             slow.push(scale);
-            let mut engine = NodeEngine::new(
-                &accel,
-                &self.config.accel,
-                plan,
-                &self.config.serve,
-                &prepared,
-                unit_health,
-            )
-            .with_service_scale(scale);
+            let mut engine =
+                NodeEngine::new(accel, plan, &self.config.serve, &prepared, unit_health)
+                    .with_service_scale(scale);
             if let Some(cache) = self.config.cache {
-                let hasher = self.operator.params().hasher();
+                let hasher = accel.operator().params().hasher();
                 let registry = SessionRegistry::new(cache, hasher.dim(), hasher.k());
                 engine = engine.with_sessions(SessionBook::new(registry, &trace.requests));
             }

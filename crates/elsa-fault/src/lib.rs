@@ -23,7 +23,7 @@
 //! * [`FaultyAccelerator`] — wraps one [`elsa_sim::ElsaAccelerator`] unit:
 //!   dead units and transient errors surface as typed [`FaultEvent`]s,
 //!   corrupted results are returned exactly as faulty silicon would serve
-//!   them (detection is the serving guard's job, in `elsa-runtime`).
+//!   them (detection is the serving guard's job, in `elsa-serve`).
 //! * [`HealthTracker`] — quarantines units after repeated faults so a
 //!   dispatcher can rebalance over the survivors; [`HealthSnapshot`] is
 //!   its read-only view for outside observers (routers, reports).

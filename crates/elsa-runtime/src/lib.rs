@@ -23,18 +23,17 @@
 //!   every attention sub-layer of a transformer through the cycle-level
 //!   simulator and combines the result with the host-side (GPU) cost of the
 //!   non-attention work, yielding the end-to-end speedups of §V-C;
+//! * [`serving`] — [`serving::InferenceServer`]: the fault-free FIFO fold
+//!   over the accelerator pool, kept as the reference every richer server
+//!   is tested against (fault-tolerant batches are served by
+//!   `elsa_serve::OnlineServer::serve_batch`);
 //! * [`error`] — [`error::RuntimeError`]: typed errors for everything a
-//!   caller can get wrong, so serving keeps running instead of panicking;
-//! * [`failover`] — [`failover::FaultTolerantServer`]: the chaos-hardened
-//!   FIFO server: failover across surviving accelerators under a seeded
-//!   `elsa-fault` plan, quarantine of repeatedly faulting units, and
-//!   graceful degradation to exact attention when a numeric guard trips.
+//!   caller can get wrong, so serving keeps running instead of panicking.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod error;
-pub mod failover;
 pub mod offload;
 pub mod quality;
 pub mod scheduler;
@@ -42,7 +41,6 @@ pub mod serving;
 pub mod thresholds;
 
 pub use error::RuntimeError;
-pub use failover::{FailoverPolicy, FaultTolerantServer, ServedBatch};
 pub use offload::{ModelOffload, ModelReport};
 pub use quality::DeepProxyModel;
 pub use serving::{InferenceServer, RequestRecord, ServingReport};

@@ -12,7 +12,7 @@ use elsa_attention::exact::AttentionInputs;
 use elsa_core::ElsaAttention;
 use elsa_linalg::ops;
 use elsa_linalg::reduce::sum_f64;
-use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError};
+use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
 use crate::error::RuntimeError;
 
@@ -32,8 +32,8 @@ pub struct RequestRecord {
     pub degraded: bool,
     /// Failed attempts (transient faults) before the final outcome.
     pub retries: u32,
-    /// The request was never served: deadline or retry budget exhausted, or
-    /// no healthy unit remained.
+    /// The request was never served: retry budget exhausted, or no healthy
+    /// unit remained.
     pub failed: bool,
 }
 
@@ -135,8 +135,7 @@ impl ServingReport {
 /// A FIFO multi-accelerator inference server around one trained operator.
 #[derive(Debug)]
 pub struct InferenceServer {
-    accel_config: AcceleratorConfig,
-    operator: ElsaAttention,
+    accel: ElsaAccelerator,
 }
 
 impl InferenceServer {
@@ -166,22 +165,7 @@ impl InferenceServer {
         accel_config: AcceleratorConfig,
         operator: ElsaAttention,
     ) -> Result<Self, RuntimeError> {
-        accel_config.try_validate()?;
-        let operator_d = operator.params().hasher().dim();
-        if operator_d != accel_config.d {
-            return Err(RuntimeError::Misfit(FitError::OperatorDim {
-                operator_d,
-                hardware_d: accel_config.d,
-            }));
-        }
-        let operator_k = operator.params().hasher().k();
-        if operator_k != accel_config.k {
-            return Err(RuntimeError::Misfit(FitError::OperatorHashLength {
-                operator_k,
-                hardware_k: accel_config.k,
-            }));
-        }
-        Ok(Self { accel_config, operator })
+        Ok(Self { accel: ElsaAccelerator::try_new(accel_config, operator)? })
     }
 
     /// Serves a batch of requests arriving simultaneously, dispatching them
@@ -214,14 +198,13 @@ impl InferenceServer {
     /// when one exceeds the hardware's `n_max` or has the wrong head
     /// dimension; the batch is rejected before any work is simulated.
     pub fn try_serve(&self, requests: &[AttentionInputs]) -> Result<ServingReport, RuntimeError> {
-        let accel = ElsaAccelerator::try_new(self.accel_config, self.operator.clone())?;
+        let accel = &self.accel;
         for (index, request) in requests.iter().enumerate() {
             accel
                 .try_check_fit(request)
                 .map_err(|source| RuntimeError::Request { index, source })?;
         }
-        let run_one =
-            |i: usize| accel.run(&requests[i]).cycles.seconds(&self.accel_config);
+        let run_one = |i: usize| accel.run(&requests[i]).cycles.seconds(accel.config());
         let work: usize = requests
             .iter()
             .map(|r| r.num_queries().saturating_mul(r.num_keys()).saturating_mul(r.dim()))
@@ -231,7 +214,7 @@ impl InferenceServer {
         } else {
             (0..requests.len()).map(run_one).collect()
         };
-        let mut free_at = vec![0.0f64; self.accel_config.num_accelerators];
+        let mut free_at = vec![0.0f64; accel.config().num_accelerators];
         let mut records = Vec::with_capacity(requests.len());
         for (request, service) in requests.iter().zip(service_times) {
             // FIFO: take the accelerator that frees up first. First minimum,
@@ -259,6 +242,10 @@ mod tests {
     use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
     fn server(seed: u64) -> InferenceServer {
+        server_with_units(seed, AcceleratorConfig::paper().num_accelerators)
+    }
+
+    fn server_with_units(seed: u64, num_accelerators: usize) -> InferenceServer {
         let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
         let mut rng = SeededRng::new(seed);
         let train = workload.generate_batch(1, &mut rng);
@@ -268,7 +255,7 @@ mod tests {
             1.0,
         );
         InferenceServer::new(
-            AcceleratorConfig { n_max: 200, ..AcceleratorConfig::paper() },
+            AcceleratorConfig { n_max: 200, num_accelerators, ..AcceleratorConfig::paper() },
             operator,
         )
     }
@@ -323,16 +310,8 @@ mod tests {
     #[test]
     fn throughput_scales_with_accelerators() {
         let workload_requests = requests(48, 5);
-        let one = {
-            let mut s = server(6);
-            s.accel_config.num_accelerators = 1;
-            s.serve(&workload_requests).throughput_per_s()
-        };
-        let twelve = {
-            let mut s = server(6);
-            s.accel_config.num_accelerators = 12;
-            s.serve(&workload_requests).throughput_per_s()
-        };
+        let one = server_with_units(6, 1).serve(&workload_requests).throughput_per_s();
+        let twelve = server_with_units(6, 12).serve(&workload_requests).throughput_per_s();
         let ratio = twelve / one;
         assert!(ratio > 6.0, "12-accelerator scaling only {ratio}x");
     }

@@ -6,7 +6,7 @@
 //! 1. **Precompute** (the only parallel stage): every request's approximate
 //!    pipeline runs once — service seconds, numeric-guard verdict, inputs —
 //!    fanned out over worker threads in arrival order exactly like the
-//!    offline servers, so the report is bit-identical at any
+//!    offline `InferenceServer`, so the report is bit-identical at any
 //!    `ELSA_THREADS`.
 //! 2. **Admission**: arrivals enter the bounded
 //!    [`AdmissionQueue`]; a full queue triggers the configured
@@ -14,13 +14,12 @@
 //! 3. **Batching**: a length bucket dispatches when it holds
 //!    `max_batch` requests or its oldest waiter has queued `max_wait_ns`.
 //! 4. **Dispatch**: each batch member routes to the accelerator unit that
-//!    frees first, through the same failover loop as
-//!    `elsa_runtime::FaultTolerantServer` — transient retries, straggler
-//!    slowdowns, quarantine with probation, corruption degrading to exact
-//!    attention — plus two online-only outcomes: a request whose deadline
-//!    passed while it queued is **timed out**, and (optionally) a request
-//!    whose estimated completion would overshoot its deadline is **shed**
-//!    before it wastes accelerator time.
+//!    frees first, through the one failover loop of [`NodeEngine`] —
+//!    transient retries, straggler slowdowns, quarantine with probation,
+//!    corruption degrading to exact attention — plus two online-only
+//!    outcomes: a request whose deadline passed while it queued is **timed
+//!    out**, and (optionally) a request whose estimated completion would
+//!    overshoot its deadline is **shed** before it wastes accelerator time.
 //!
 //! Every arrival produces exactly one [`OnlineRecord`], so
 //! `offered = served + shed + timed-out + failed` holds by construction
@@ -37,20 +36,27 @@
 //! functional outputs are byte-identical either way, which is what keeps
 //! the degenerate single-turn/unbounded configuration bit-identical to
 //! [`OnlineServer::serve`].
+//!
+//! [`OnlineServer::serve_batch`] is the fault-tolerant offline batch: every
+//! request of a materialized batch arrives at t = 0, runs through the same
+//! engine, and comes back with its served output — the approximate result,
+//! exact attention when the request degraded, nothing when it failed.
 
+use elsa_attention::exact::AttentionInputs;
 use elsa_core::ElsaAttention;
 use elsa_fault::{FaultPlan, HealthTracker};
 use elsa_linalg::ops;
 use elsa_linalg::reduce::sum_f64;
-use elsa_runtime::{InferenceServer, RequestRecord, RuntimeError, ServingReport};
+use elsa_linalg::Matrix;
+use elsa_runtime::{RequestRecord, RuntimeError, ServingReport};
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
 use crate::arrival::ArrivalTrace;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::ns_to_secs;
 use crate::engine::{
-    entry_admissions, healthy_pool, prepare_entries, prepare_turns, session_admissions,
-    NodeEngine, PreparedRequest, SessionBook,
+    entry_admissions, guard_trips, plan_health, precompute, precompute_work, prepare_entries,
+    prepare_turns, session_admissions, NodeEngine, PreparedRequest, SessionBook,
 };
 use crate::queue::{Backpressure, QueuedRequest};
 use crate::session::{CacheConfig, CacheStats, SessionRegistry, SessionTrace};
@@ -94,7 +100,8 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// No queueing, no batching, no shedding: dispatch every request alone
     /// the moment it arrives. On a simultaneous trace this reduces the
-    /// pipeline to the offline [`InferenceServer`] bit-for-bit.
+    /// pipeline to the offline [`elsa_runtime::InferenceServer`]
+    /// bit-for-bit.
     #[must_use]
     pub fn immediate() -> Self {
         Self { batch: BatchPolicy::immediate(), ..Self::default() }
@@ -292,7 +299,8 @@ impl ServeReport {
     /// vocabulary: served requests keep their service/completion times,
     /// everything else becomes a failed record. On a simultaneous trace
     /// under [`ServeConfig::immediate`], this is bit-identical to
-    /// [`InferenceServer::serve`] on the materialized requests.
+    /// [`elsa_runtime::InferenceServer::serve`] on the materialized
+    /// requests.
     #[must_use]
     pub fn to_serving_report(&self) -> ServingReport {
         let records = self
@@ -332,12 +340,24 @@ pub struct SessionReport {
     pub cache: CacheStats,
 }
 
+/// A served batch: the accounting report plus the actual outputs.
+///
+/// `outputs[i]` is the attention output served for request `i` — exact
+/// attention if the request degraded, `None` if it failed. Indices align
+/// with `report.records`.
+#[derive(Debug, Clone)]
+pub struct ServedBatch {
+    /// Per-request accounting, in arrival order.
+    pub report: ServingReport,
+    /// Served output per request (`None` for failed requests).
+    pub outputs: Vec<Option<Matrix>>,
+}
+
 /// The online serving front-end: one operator, one accelerator pool, one
 /// fault plan, one serving configuration.
 #[derive(Debug)]
 pub struct OnlineServer {
-    accel_config: AcceleratorConfig,
-    operator: ElsaAttention,
+    accel: ElsaAccelerator,
     plan: FaultPlan,
     config: ServeConfig,
 }
@@ -364,19 +384,15 @@ impl OnlineServer {
         }
     }
 
-    /// Builds the server, reporting an operator/hardware misfit as a typed
-    /// error.
+    /// Builds the server, reporting a malformed batch policy or an
+    /// operator/hardware misfit as a typed error.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Misfit`] when the hardware configuration is
-    /// invalid or the operator's dimensions do not match it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch policy is malformed (zero batch size,
-    /// non-ascending bucket bounds) — that is a construction bug, not an
-    /// input.
+    /// Returns [`RuntimeError::InvalidBatchPolicy`] when the batch policy
+    /// is malformed (zero batch size, no buckets, non-ascending bucket
+    /// bounds), or [`RuntimeError::Misfit`] when the hardware configuration
+    /// is invalid or the operator's dimensions do not match it.
     pub fn try_new(
         accel_config: AcceleratorConfig,
         operator: ElsaAttention,
@@ -384,8 +400,8 @@ impl OnlineServer {
         config: ServeConfig,
     ) -> Result<Self, RuntimeError> {
         config.batch.try_validate()?;
-        let _ = InferenceServer::try_new(accel_config, operator.clone())?;
-        Ok(Self { accel_config, operator, plan, config })
+        let accel = ElsaAccelerator::try_new(accel_config, operator)?;
+        Ok(Self { accel, plan, config })
     }
 
     /// The serving configuration.
@@ -424,18 +440,79 @@ impl OnlineServer {
             trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
             "arrival trace ids must be arrival-order indices"
         );
-        let accel = ElsaAccelerator::try_new(self.accel_config, self.operator.clone())?;
-        let health =
-            healthy_pool(&self.plan, self.accel_config.num_accelerators, self.config.quarantine_after)?;
+        let health = self.healthy_pool()?;
 
         // Thread-independent precompute, fanned out in arrival order: the
         // serial event loop below never touches the simulator except for
-        // padded-timing and degraded-fallback runs, which are themselves
-        // deterministic functions of the precomputed state.
-        let prepared = prepare_entries(&accel, &self.accel_config, &trace.requests)?;
+        // padded-timing runs, which are themselves deterministic functions
+        // of the precomputed state.
+        let prepared = prepare_entries(&self.accel, self.accel.config(), &trace.requests)?;
         let admissions = entry_admissions(&self.config.batch, &trace.requests, &prepared);
-        let (records, bucket_stats, _) = self.run_engine(&accel, health, &prepared, &admissions, None);
+        let (records, bucket_stats, _) = self.run_engine(health, &prepared, &admissions, None);
         Ok(ServeReport { records, bucket_stats })
+    }
+
+    /// Serves a batch of simultaneously arriving requests and returns the
+    /// served outputs alongside the accounting — the fault-tolerant
+    /// counterpart of [`elsa_runtime::InferenceServer::serve`].
+    ///
+    /// Request `i` is admitted at t = 0 with id `i` and runs through the
+    /// same engine as [`serve`](Self::serve), so under
+    /// [`ServeConfig::immediate`] the report equals
+    /// `serve(&ArrivalTrace::simultaneous(..)).to_serving_report()` bit for
+    /// bit — and, with a zero-fault plan, `InferenceServer::serve`.
+    /// The approximate pipeline runs once per request (fanned out exactly
+    /// like [`serve`](Self::serve)); a degraded request's exact output is
+    /// computed afterwards, once, through the tiled streaming kernel
+    /// (`ElsaAccelerator::run_base_streaming`, bit-identical to `run_base`
+    /// with O(n) transient memory).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::Request`] when a request does not fit the
+    /// hardware (the batch is rejected before any dispatch), or
+    /// [`RuntimeError::NoHealthyUnits`] when the fault plan killed every
+    /// unit.
+    pub fn serve_batch(&self, requests: &[AttentionInputs]) -> Result<ServedBatch, RuntimeError> {
+        let accel_config = self.accel.config();
+        let work = precompute_work(requests.iter().map(|r| (r.num_keys(), r.dim())));
+        let runs = precompute(requests.len(), work, |i| {
+            let run = self.accel.try_run(&requests[i])?;
+            let service_s = run.cycles.seconds(accel_config);
+            let prepared = PreparedRequest {
+                inputs: requests[i].clone(),
+                service_s,
+                hit_service_s: service_s,
+                trips: guard_trips(&run),
+            };
+            Ok((prepared, run.output))
+        })?;
+        let health = self.healthy_pool()?;
+        let (prepared, approximate): (Vec<PreparedRequest>, Vec<Matrix>) =
+            runs.into_iter().unzip();
+        let admissions: Vec<QueuedRequest> = prepared
+            .iter()
+            .enumerate()
+            .map(|(id, p)| {
+                let n_real = p.inputs.num_keys();
+                let bucket = self.config.batch.bucket_of(n_real);
+                QueuedRequest { id, arrival_ns: 0, deadline_ns: None, n_real, bucket }
+            })
+            .collect();
+        let (records, bucket_stats, _) = self.run_engine(health, &prepared, &admissions, None);
+        let report = ServeReport { records, bucket_stats }.to_serving_report();
+        let outputs = report
+            .records
+            .iter()
+            .zip(approximate)
+            .zip(requests)
+            .map(|((record, output), inputs)| match (record.failed, record.degraded) {
+                (true, _) => None,
+                (false, true) => Some(self.accel.run_base_streaming(inputs).output),
+                (false, false) => Some(output),
+            })
+            .collect();
+        Ok(ServedBatch { report, outputs })
     }
 
     /// Replays a multi-turn session trace through the pipeline with session
@@ -476,22 +553,31 @@ impl OnlineServer {
             trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
             "session trace ids must be arrival-order indices"
         );
-        let accel = ElsaAccelerator::try_new(self.accel_config, self.operator.clone())?;
-        let health =
-            healthy_pool(&self.plan, self.accel_config.num_accelerators, self.config.quarantine_after)?;
-        let prepared = prepare_turns(&accel, &self.accel_config, &trace.requests)?;
+        let health = self.healthy_pool()?;
+        let prepared = prepare_turns(&self.accel, self.accel.config(), &trace.requests)?;
         let admissions = session_admissions(&self.config.batch, &trace.requests);
-        let hasher = self.operator.params().hasher();
+        let hasher = self.accel.operator().params().hasher();
         let book = SessionBook::new(
             SessionRegistry::new(cache, hasher.dim(), hasher.k()),
             &trace.requests,
         );
         let (records, bucket_stats, cache_stats) =
-            self.run_engine(&accel, health, &prepared, &admissions, Some(book));
+            self.run_engine(health, &prepared, &admissions, Some(book));
         Ok(SessionReport {
             serve: ServeReport { records, bucket_stats },
             cache: cache_stats.unwrap_or_default(),
         })
+    }
+
+    /// The unit-health tracker for one run: plan-dead units marked, an
+    /// all-dead pool rejected as [`RuntimeError::NoHealthyUnits`].
+    fn healthy_pool(&self) -> Result<HealthTracker, RuntimeError> {
+        let units = self.accel.config().num_accelerators;
+        let health = plan_health(&self.plan, units, self.config.quarantine_after);
+        if health.num_available() == 0 {
+            return Err(RuntimeError::NoHealthyUnits);
+        }
+        Ok(health)
     }
 
     /// The serial virtual-clock event loop shared by [`serve`](Self::serve)
@@ -506,14 +592,12 @@ impl OnlineServer {
     /// failed`) that the resulting [`ServeReport`] must never paper over.
     fn run_engine(
         &self,
-        accel: &ElsaAccelerator,
         health: HealthTracker,
         prepared: &[PreparedRequest],
         admissions: &[QueuedRequest],
         sessions: Option<SessionBook<'_>>,
     ) -> (Vec<OnlineRecord>, Vec<BucketStats>, Option<CacheStats>) {
-        let mut engine =
-            NodeEngine::new(accel, &self.accel_config, self.plan, &self.config, prepared, health);
+        let mut engine = NodeEngine::new(&self.accel, self.plan, &self.config, prepared, health);
         if let Some(book) = sessions {
             engine = engine.with_sessions(book);
         }
@@ -852,6 +936,107 @@ mod tests {
             report.cache.hits + report.cache.cold + report.cache.stale,
             r.served_count() as u64
         );
+    }
+
+    fn requests(count: usize, seed: u64) -> Vec<AttentionInputs> {
+        workload().generate_batch(count, &mut SeededRng::new(seed))
+    }
+
+    fn batch_server(cfg: AcceleratorConfig, seed: u64, plan: FaultPlan) -> OnlineServer {
+        OnlineServer::new(cfg, operator(seed), plan, ServeConfig::immediate())
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn malformed_batch_policy_is_a_typed_error() {
+        let serve_config = ServeConfig {
+            batch: BatchPolicy { max_batch: 0, ..BatchPolicy::immediate() },
+            ..ServeConfig::default()
+        };
+        let err = OnlineServer::try_new(config(), operator(27), FaultPlan::none(), serve_config)
+            .expect_err("max_batch = 0");
+        assert!(matches!(err, RuntimeError::InvalidBatchPolicy { .. }));
+    }
+
+    #[test]
+    fn zero_fault_batch_matches_the_plain_server() {
+        let server = batch_server(config(), 1, FaultPlan::none());
+        let plain = elsa_runtime::InferenceServer::new(config(), operator(1));
+        let batch = requests(16, 2);
+        let served = server.serve_batch(&batch).expect("no faults planned");
+        assert_eq!(served.report, plain.serve(&batch));
+        assert!(served.outputs.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn batch_on_a_dead_pool_is_a_typed_error() {
+        let rates = elsa_fault::FaultRates { unit_death: 1.0, ..elsa_fault::FaultRates::none() };
+        let server = batch_server(config(), 4, FaultPlan::seeded(3, rates));
+        assert_eq!(server.serve_batch(&requests(4, 5)).unwrap_err(), RuntimeError::NoHealthyUnits);
+    }
+
+    #[test]
+    fn batch_misfit_names_the_request() {
+        let cfg = AcceleratorConfig { n_max: 8, ..config() };
+        let server = batch_server(cfg, 28, FaultPlan::none());
+        let err = server.serve_batch(&requests(3, 29)).unwrap_err();
+        assert!(matches!(err, RuntimeError::Request { index: 0, .. }));
+    }
+
+    #[test]
+    fn permanent_transients_exhaust_the_retry_budget() {
+        let rates = elsa_fault::FaultRates { transient: 1.0, ..elsa_fault::FaultRates::none() };
+        let server = OnlineServer::new(
+            config(),
+            operator(7),
+            FaultPlan::seeded(6, rates),
+            ServeConfig { max_retries: 2, quarantine_after: 100, ..ServeConfig::immediate() },
+        );
+        let served = server.serve_batch(&requests(3, 8)).expect("pool itself is healthy");
+        assert_eq!(served.report.failed_count(), 3);
+        assert_eq!(served.report.served_count(), 0);
+        assert!(served.report.records.iter().all(|r| r.retries == 3), "budget: 1 + max_retries");
+        assert!(served.outputs.iter().all(Option::is_none));
+        assert_eq!(served.report.throughput_per_s(), 0.0);
+    }
+
+    #[test]
+    fn forced_corruption_degrades_every_request_to_exact() {
+        let rates = elsa_fault::FaultRates { corrupt: 1.0, ..elsa_fault::FaultRates::none() };
+        let server = batch_server(config(), 12, FaultPlan::seeded(11, rates));
+        let batch = requests(8, 13);
+        let served = server.serve_batch(&batch).expect("corruption is survivable");
+        assert_eq!(served.report.degraded_count(), batch.len());
+        assert_eq!(served.report.failed_count(), 0);
+        let accel = ElsaAccelerator::new(config(), operator(12));
+        for (request, output) in batch.iter().zip(&served.outputs) {
+            let output = output.as_ref().expect("degraded, not failed");
+            assert!(output.as_slice().iter().all(|v| v.is_finite()), "no NaN ever served");
+            assert_eq!(bits(output), bits(&accel.run_base(request).output), "exact attention");
+        }
+    }
+
+    #[test]
+    fn degraded_requests_pay_exactly_the_base_run() {
+        let rates = elsa_fault::FaultRates { corrupt: 1.0, ..elsa_fault::FaultRates::none() };
+        let cfg = AcceleratorConfig { num_accelerators: 1, ..config() };
+        let healthy = batch_server(cfg, 15, FaultPlan::none());
+        let corrupted = batch_server(cfg, 15, FaultPlan::seeded(14, rates));
+        let batch = requests(4, 16);
+        let clean = healthy.serve_batch(&batch).expect("healthy");
+        let degraded = corrupted.serve_batch(&batch).expect("survivable");
+        let accel = ElsaAccelerator::new(cfg, operator(15));
+        let pairs = clean.report.records.iter().zip(&degraded.report.records);
+        for ((c, d), request) in pairs.zip(&batch) {
+            assert!(d.degraded);
+            // The accounting-only engine charges the base cycle model: the
+            // same seconds the streaming fallback run reports.
+            let base_s = accel.run_base_streaming(request).cycles.seconds(&cfg);
+            assert_eq!(d.service_s.to_bits(), (c.service_s + base_s).to_bits());
+        }
     }
 
     #[test]

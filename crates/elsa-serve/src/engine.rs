@@ -25,17 +25,25 @@
 //!   (scale `1.0` is bit-transparent: `x × 1.0 ≡ x` for every finite
 //!   charge, preserving the healthy-path equivalence).
 //!
+//! The engine is accounting-only: it never produces a served output. A
+//! degraded request is charged the base-mode cycle model
+//! (`elsa_sim::cycle::simulate_execution_base`, exactly the cycles
+//! `ElsaAccelerator::run_base_streaming` reports), and a caller that needs
+//! outputs builds them afterwards from the records (see
+//! [`OnlineServer::serve_batch`](crate::dispatch::OnlineServer::serve_batch)).
+//!
 //! Precompute stays outside the engine in [`prepare_entries`] /
 //! [`prepare_turns`]: the only parallel stage, fanned out in arrival order
-//! under the same `elsa_parallel` gate as the offline servers, so reports
-//! are bit-identical at any `ELSA_THREADS` no matter how many engines
-//! share the prepared slice.
+//! under the same `elsa_parallel` gate as the offline `InferenceServer`, so
+//! reports are bit-identical at any `ELSA_THREADS` no matter how many
+//! engines share the prepared slice.
 
 use elsa_attention::exact::AttentionInputs;
 use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker, SATURATION_LIMIT};
 use elsa_linalg::reduce::sum_f64;
 use elsa_linalg::Matrix;
 use elsa_runtime::RuntimeError;
+use elsa_sim::cycle::simulate_execution_base;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
 use elsa_workloads::sessions::turn_inputs;
 
@@ -52,7 +60,7 @@ use crate::session::{CacheStats, SessionRegistry, SessionTurnRequest};
 #[derive(Debug)]
 pub struct PreparedRequest {
     /// The materialized attention inputs (kept for padded-timing runs and
-    /// the degraded exact-attention fallback).
+    /// the degraded request's exact-attention charge).
     pub inputs: AttentionInputs,
     /// Service seconds of the full from-scratch run.
     pub service_s: f64,
@@ -65,23 +73,34 @@ pub struct PreparedRequest {
     pub trips: bool,
 }
 
-/// The numeric guard (same predicate as the fault-tolerant offline server):
-/// a result is untrustworthy when a non-empty query set selected nothing or
-/// any output value is non-finite or saturated.
-fn guard_trips(report: &RunReport) -> bool {
+/// The numeric guard: a result is untrustworthy when a non-empty query set
+/// selected nothing (a corrupted hash signature) or any output value is
+/// non-finite or saturated. One predicate catches NaN, ±∞, and the
+/// fixed-point saturation sentinel: `!(v.abs() < SATURATION_LIMIT)`.
+pub(crate) fn guard_trips(report: &RunReport) -> bool {
     (report.stats.num_queries > 0 && report.stats.selected_pairs == 0)
         || report.output.as_slice().iter().any(|v| !(v.abs() < SATURATION_LIMIT))
 }
 
 /// Σ n²·d across shapes — the work estimate the parallel gate keys on.
-fn precompute_work(shapes: impl Iterator<Item = (usize, usize)>) -> usize {
+pub(crate) fn precompute_work(shapes: impl Iterator<Item = (usize, usize)>) -> usize {
     shapes.map(|(n, d)| n.saturating_mul(n).saturating_mul(d)).sum()
 }
 
-/// Surfaces the first misfit of a precompute fan-out as a typed error.
-fn collect_prepared(
-    runs: Vec<Result<PreparedRequest, FitError>>,
-) -> Result<Vec<PreparedRequest>, RuntimeError> {
+/// Runs `run_one` over `0..len` in index order — fanned out over worker
+/// threads when the work estimate clears the `elsa_parallel` gate — and
+/// surfaces the first misfit as a typed error. Results are bit-identical
+/// at any `ELSA_THREADS`.
+pub(crate) fn precompute<T: Send>(
+    len: usize,
+    work: usize,
+    run_one: impl Fn(usize) -> Result<T, FitError> + Sync,
+) -> Result<Vec<T>, RuntimeError> {
+    let runs: Vec<Result<T, FitError>> = if elsa_parallel::beneficial(work) && len > 1 {
+        elsa_parallel::par_map_indexed(len, run_one)
+    } else {
+        (0..len).map(run_one).collect()
+    };
     let mut prepared = Vec::with_capacity(runs.len());
     for (index, run) in runs.into_iter().enumerate() {
         prepared.push(run.map_err(|source| RuntimeError::Request { index, source })?);
@@ -111,11 +130,7 @@ pub fn prepare_entries(
     let work = precompute_work(
         requests.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)),
     );
-    collect_prepared(if elsa_parallel::beneficial(work) && requests.len() > 1 {
-        elsa_parallel::par_map_indexed(requests.len(), run_one)
-    } else {
-        (0..requests.len()).map(run_one).collect()
-    })
+    precompute(requests.len(), work, run_one)
 }
 
 /// Precomputes every turn of a session trace: full-cost and cache-hit
@@ -147,11 +162,7 @@ pub fn prepare_turns(
     };
     let work =
         precompute_work(turns.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)));
-    collect_prepared(if elsa_parallel::beneficial(work) && turns.len() > 1 {
-        elsa_parallel::par_map_indexed(turns.len(), run_one)
-    } else {
-        (0..turns.len()).map(run_one).collect()
-    })
+    precompute(turns.len(), work, run_one)
 }
 
 /// Builds the admission entries of a plain trace: each request routes to
@@ -206,27 +217,17 @@ pub fn session_admissions(
         .collect()
 }
 
-/// Marks plan-dead units on a fresh tracker and rejects an all-dead pool.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::NoHealthyUnits`] when the plan killed every
-/// unit.
-pub fn healthy_pool(
-    plan: &FaultPlan,
-    units: usize,
-    quarantine_after: u32,
-) -> Result<HealthTracker, RuntimeError> {
+/// A fresh tracker over `units` units with every plan-dead unit marked
+/// dead. An all-dead result is a valid answer here: a fleet tolerates a
+/// node that is dead on arrival, while a lone server rejects it as
+/// [`RuntimeError::NoHealthyUnits`].
+#[must_use]
+pub fn plan_health(plan: &FaultPlan, units: usize, quarantine_after: u32) -> HealthTracker {
     let mut health = HealthTracker::new(units, quarantine_after);
-    for unit in 0..units {
-        if plan.unit_dead(unit) {
-            health.mark_dead(unit);
-        }
+    for unit in (0..units).filter(|&unit| plan.unit_dead(unit)) {
+        health.mark_dead(unit);
     }
-    if health.num_available() == 0 {
-        return Err(RuntimeError::NoHealthyUnits);
-    }
-    Ok(health)
+    health
 }
 
 /// Session bookkeeping threaded through one engine run: the node's decode
@@ -293,7 +294,6 @@ pub struct NodeParts {
 #[derive(Debug)]
 pub struct NodeEngine<'a> {
     accel: &'a ElsaAccelerator,
-    accel_config: &'a AcceleratorConfig,
     plan: FaultPlan,
     cfg: &'a ServeConfig,
     prepared: &'a [PreparedRequest],
@@ -315,16 +315,14 @@ impl<'a> NodeEngine<'a> {
     #[must_use]
     pub fn new(
         accel: &'a ElsaAccelerator,
-        accel_config: &'a AcceleratorConfig,
         plan: FaultPlan,
         cfg: &'a ServeConfig,
         prepared: &'a [PreparedRequest],
         health: HealthTracker,
     ) -> Self {
-        let units = accel_config.num_accelerators;
+        let units = accel.config().num_accelerators;
         Self {
             accel,
-            accel_config,
             plan,
             cfg,
             prepared,
@@ -376,18 +374,6 @@ impl<'a> NodeEngine<'a> {
         self.clock.advance_to(t_ns);
     }
 
-    /// Queued requests right now.
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The earliest batching expiry among the queued buckets, if any.
-    #[must_use]
-    pub fn next_expiry(&self) -> Option<u64> {
-        self.queue.earliest_expiry(self.cfg.batch.max_wait_ns).map(|(expiry, _)| expiry)
-    }
-
     /// Instantaneous backlog in seconds per available unit: remaining busy
     /// time on the units plus the full-cost service of everything queued,
     /// divided by the available-unit count (`+∞` when no unit is
@@ -405,12 +391,6 @@ impl<'a> NodeEngine<'a> {
             self.queue.iter().map(|r| self.prepared[r.id].service_s * self.service_scale),
         );
         (busy + queued) / avail.len() as f64
-    }
-
-    /// Read-only snapshot of the engine's unit health.
-    #[must_use]
-    pub fn health_snapshot(&self) -> HealthSnapshot {
-        self.health.snapshot()
     }
 
     /// Drains every queued request *without* recording an outcome, in
@@ -568,7 +548,7 @@ impl<'a> NodeEngine<'a> {
             pad(p.inputs.key()),
             pad(p.inputs.value()),
         );
-        self.accel.run(&padded).cycles.seconds(self.accel_config)
+        self.accel.run(&padded).cycles.seconds(self.accel.config())
     }
 
     /// Routes one request through deadline checks and the failover loop.
@@ -600,7 +580,7 @@ impl<'a> NodeEngine<'a> {
         let mut attempt = 0u32;
         loop {
             // FIFO over survivors: the available unit that frees first
-            // (first minimum, matching the offline servers).
+            // (first minimum, matching the offline `InferenceServer`).
             let Some(unit) = self.health.available_units().into_iter().min_by(|&a, &b| {
                 self.free_at[a].total_cmp(&self.free_at[b])
             }) else {
@@ -633,13 +613,16 @@ impl<'a> NodeEngine<'a> {
                 continue;
             }
             self.health.record_success(unit);
-            let (service_s, degraded) = if self.prepared[request.id].trips
+            let prepared = &self.prepared[request.id];
+            let (service_s, degraded) = if prepared.trips
                 || self.plan.corruption(unit, request.id).is_some()
             {
-                // Streaming exact fallback: bit-identical to `run_base` with
-                // O(n) transient memory (see `elsa_attention::flash`).
-                let base = self.accel.run_base_streaming(&self.prepared[request.id].inputs);
-                ((charged_service + base.cycles.seconds(self.accel_config)) * slowdown, true)
+                // Degrade to exact attention: charge the base-mode cycle
+                // model, the same cycles `run_base_streaming` reports.
+                let (n, n_q) = (prepared.inputs.num_keys(), prepared.inputs.num_queries());
+                let config = self.accel.config();
+                let base = simulate_execution_base(config, n, n_q);
+                ((charged_service + base.seconds(config)) * slowdown, true)
             } else {
                 (charged_service * slowdown, false)
             };

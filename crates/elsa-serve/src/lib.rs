@@ -1,7 +1,7 @@
 //! Online serving for the ELSA accelerator pool.
 //!
-//! The offline servers in `elsa-runtime` answer "how fast does a batch that
-//! is already here finish?". Production serving asks harder questions: how
+//! The offline `InferenceServer` in `elsa-runtime` answers "how fast does a
+//! batch that is already here finish?". Production serving asks harder questions: how
 //! long do requests *queue* at a given offered load, when should a batcher
 //! stop waiting, and what do you drop when demand outruns the pool? This
 //! crate answers them with a fully deterministic online pipeline:
@@ -28,11 +28,13 @@
 //!   public API, so a fleet layer can embed one engine per node and drive
 //!   admissions itself — with evacuation, backlog, session-cache-loss,
 //!   and slow-node hooks for routing and failover.
-//! * [`dispatch`] — the serial event loop: SLO-aware dispatch onto the
-//!   accelerator pool through the same failover semantics as
-//!   `elsa_runtime::FaultTolerantServer`, emitting one [`OnlineRecord`]
-//!   per arrival and a [`ServeReport`] with queue-delay percentiles, SLO
-//!   attainment, shed/timeout accounting, and per-bucket occupancy.
+//! * [`dispatch`] — the [`OnlineServer`] front-end: SLO-aware dispatch
+//!   onto the accelerator pool through the engine's failover loop (the
+//!   only one in the workspace), emitting one [`OnlineRecord`] per arrival
+//!   and a [`ServeReport`] with queue-delay percentiles, SLO attainment,
+//!   shed/timeout accounting, and per-bucket occupancy. Its
+//!   [`OnlineServer::serve_batch`] serves a batch that is already here —
+//!   every request at t = 0 — and returns the served outputs too.
 //! * [`session`] — multi-turn decode serving: replayable [`SessionTrace`]s
 //!   (each arrival is the next turn of a live session, with session
 //!   affinity in the batcher), plus the bounded decode cache — a
@@ -63,9 +65,11 @@ pub mod skew;
 pub use arrival::{ArrivalConfig, ArrivalRequest, ArrivalTrace, Burst};
 pub use batcher::{BatchPolicy, BatcherMode, BucketStats};
 pub use clock::VirtualClock;
-pub use dispatch::{OnlineRecord, OnlineServer, Outcome, ServeConfig, ServeReport, SessionReport};
+pub use dispatch::{
+    OnlineRecord, OnlineServer, Outcome, ServeConfig, ServeReport, ServedBatch, SessionReport,
+};
 pub use engine::{
-    entry_admissions, healthy_pool, prepare_entries, prepare_turns, session_admissions,
+    entry_admissions, plan_health, prepare_entries, prepare_turns, session_admissions,
     NodeEngine, NodeParts, PreparedRequest, SessionBook,
 };
 pub use estimator::ServiceEstimator;

@@ -77,6 +77,22 @@ echo "==> long-context battery (fixed seed, ELSA_THREADS=1 and 4)"
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=1 cargo test -q --offline --test longctx
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --offline --test longctx
 
+echo "==> serving regression (bench_serve vs committed BENCH_serve.json)"
+# bench_serve replays seeded arrival traces on the virtual clock only —
+# λ sweep, bucketed-vs-padded batching, offline bit-identity check — so the
+# JSON reproduces byte-for-byte on any host.
+cargo run -q --release --offline -p elsa-bench --bin bench_serve | diff - BENCH_serve.json \
+  || { echo "FAIL: bench_serve output diverged from committed BENCH_serve.json"; exit 1; }
+
+echo "==> fault sweep regression (bench_fault sweep rows vs committed BENCH_fault.json)"
+# The fault-rate sweep is virtual-clock accounting from a pinned plan seed,
+# so its rows reproduce byte-for-byte; the zero_fault block is host
+# wall-clock and is deliberately left out of the comparison.
+sweep_rows() { grep '"fault": '; }
+diff <(cargo run -q --release --offline -p elsa-bench --bin bench_fault | sweep_rows) \
+  <(sweep_rows < BENCH_fault.json) \
+  || { echo "FAIL: bench_fault sweep rows diverged from committed BENCH_fault.json"; exit 1; }
+
 echo "==> flash accounting regression (bench_flash vs committed BENCH_flash.json)"
 # bench_flash reads no wall clock: every value is an analytic FLOP/byte
 # count or a deterministic model cycle count from pinned seeds, so the

@@ -21,7 +21,7 @@
 //! | [`sparse`] | software sparse-attention baselines (LSH, local windows) |
 //! | [`pool`] | pooled-KV rival approximation (adaptive K/V compression) |
 //! | [`fault`] | deterministic fault injection: seeded chaos plans, health tracking |
-//! | [`runtime`] | host integration: thresholds, batch scheduling, failover serving |
+//! | [`runtime`] | host integration: thresholds, batch scheduling, the reference FIFO server |
 //! | [`serve`] | online serving: virtual-clock queueing, dynamic batching, SLO shedding |
 //! | [`cluster`] | fault-tolerant fleet serving: routing, failover, hedging, autoscaling |
 //! | [`workloads`] | model zoo, synthetic datasets, proxy metrics |

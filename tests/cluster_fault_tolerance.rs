@@ -25,6 +25,10 @@
 //!   never double-count; flapped nodes are quarantined, probed, and
 //!   reinstated; the autoscaler grows the active set under overload and
 //!   absorbs a node death.
+//! * **(g) Construction contract** — a malformed batch policy is a typed
+//!   error, not a panic, and a node whose every accelerator is dead at
+//!   provisioning is tolerated (dead on arrival) instead of failing the
+//!   fleet.
 //!
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test cluster_fault_tolerance`.
@@ -39,6 +43,7 @@ use elsa::cluster::{
 use elsa::fault::{FaultPlan, FaultRates, NodeFaultPlan, NodeFaultRates};
 use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
+use elsa::runtime::RuntimeError;
 use elsa::serve::clock::secs_to_ns;
 use elsa::serve::{
     ArrivalConfig, ArrivalTrace, Backpressure, BatchPolicy, CacheConfig, OnlineServer, Outcome,
@@ -622,4 +627,34 @@ fn autoscaler_grows_the_active_set_under_overload_and_absorbs_a_death() {
     let timeline = scaled.attainment_timeline(horizon / 4);
     assert!(!timeline.is_empty(), "deadline-carrying trace must yield a timeline");
     assert!(timeline.windows(2).all(|w| w[0].0 < w[1].0), "windows must be ordered");
+}
+
+// ---- (g) construction contract ----
+
+#[test]
+fn malformed_batch_policy_is_a_typed_error() {
+    let serve = ServeConfig {
+        batch: BatchPolicy { max_batch: 0, ..BatchPolicy::immediate() },
+        ..serve_config()
+    };
+    let err = Cluster::try_new(ClusterConfig::baseline(2, config(), serve), operator().clone())
+        .expect_err("max_batch = 0");
+    assert!(matches!(err, RuntimeError::InvalidBatchPolicy { .. }), "{err}");
+}
+
+#[test]
+fn nodes_with_every_unit_dead_are_tolerated() {
+    let arrivals = ArrivalTrace::generate(
+        &workload(),
+        &ArrivalConfig::poisson(50_000.0, 12),
+        &mut SeededRng::new(0xD0A0),
+    );
+    let dead = FaultPlan::seeded(0xD0A1, FaultRates { unit_death: 1.0, ..FaultRates::none() });
+    let fleet = ClusterConfig::baseline(2, config(), serve_config());
+    let cluster = Cluster::new(ClusterConfig { unit_faults: dead, ..fleet }, operator().clone());
+    let report = cluster
+        .serve(&SessionTrace::single_turn(&arrivals))
+        .expect("a fleet tolerates dead nodes");
+    assert_exact_accounting(&report, 12, "dead on arrival");
+    assert_eq!(report.served_count(), 0, "no accelerator survives anywhere");
 }

@@ -1,9 +1,10 @@
-//! Chaos battery for the fault-injection layer and the failover server.
+//! Chaos battery for the fault-injection layer and fault-tolerant batch
+//! serving (`OnlineServer::serve_batch` under immediate dispatch).
 //!
-//! Three promises are under test, per the fault-tolerance design:
+//! Four promises are under test, per the fault-tolerance design:
 //!
 //! * **(a) Zero faults are free** — with a zero-fault [`FaultPlan`], the
-//!   fault-tolerant server's report is bit-for-bit identical
+//!   fault-tolerant batch's report is bit-for-bit identical
 //!   (`f64::to_bits`, never an epsilon) to the plain `InferenceServer`, at
 //!   any `ELSA_THREADS`.
 //! * **(b) Failover completes everything** — under injected unit death
@@ -12,6 +13,9 @@
 //! * **(c) Corruption never escapes** — an injected NaN/∞/saturated value
 //!   or wiped candidate set always triggers the exact-attention fallback;
 //!   a NaN is never served.
+//! * **(d) One dispatch loop** — the batch path is the online pipeline: its
+//!   report equals `serve(&ArrivalTrace::simultaneous(..))` projected onto
+//!   the offline vocabulary, bit for bit, under chaotic plans.
 //!
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test fault_tolerance`.
@@ -23,9 +27,10 @@ use elsa::attention::exact::AttentionInputs;
 use elsa::fault::{FaultPlan, FaultRates};
 use elsa::linalg::{Matrix, SeededRng};
 use elsa::parallel::with_threads;
-use elsa::runtime::{FailoverPolicy, FaultTolerantServer, InferenceServer, RuntimeError};
+use elsa::runtime::{InferenceServer, RuntimeError};
+use elsa::serve::{ArrivalTrace, OnlineServer, ServeConfig};
 use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
-use elsa::workloads::{DatasetKind, ModelKind, Workload};
+use elsa::workloads::{DatasetKind, ModelKind, Workload, WorkloadTrace};
 use elsa_testkit::prelude::*;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -44,6 +49,11 @@ fn operator() -> &'static ElsaAttention {
         let train = workload.generate_batch(1, &mut rng);
         ElsaAttention::learn(ElsaParams::for_dims(64, 64, &mut SeededRng::new(0xE15B)), &train, 1.0)
     })
+}
+
+/// Fault-tolerant batch serving: immediate dispatch under `plan`.
+fn batch_server(plan: FaultPlan) -> OnlineServer {
+    OnlineServer::new(config(), operator().clone(), plan, ServeConfig::immediate())
 }
 
 fn requests(count: usize, seed: u64) -> Vec<AttentionInputs> {
@@ -79,14 +89,9 @@ props! {
     ) {
         let batch = requests(count, batch_seed);
         let plain = InferenceServer::new(config(), operator().clone());
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            FaultPlan::none(),
-            FailoverPolicy::default(),
-        );
+        let server = batch_server(FaultPlan::none());
         let baseline = with_threads(1, || plain.serve(&batch));
-        let served = with_threads(WORKER_COUNTS[widx], || server.serve(&batch))
+        let served = with_threads(WORKER_COUNTS[widx], || server.serve_batch(&batch))
             .expect("zero-fault plan cannot fail");
         prop_assert_eq!(record_bits(&baseline), record_bits(&served.report));
         // Outputs are the approximate pipeline's, bit-for-bit.
@@ -111,13 +116,8 @@ props! {
         let rates = FaultRates { unit_death: death_pct as f64 / 100.0, ..FaultRates::none() };
         let plan = FaultPlan::seeded(plan_seed, rates);
         let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        match with_threads(WORKER_COUNTS[widx], || server.serve(&batch)) {
+        let server = batch_server(plan);
+        match with_threads(WORKER_COUNTS[widx], || server.serve_batch(&batch)) {
             Err(RuntimeError::NoHealthyUnits) => {
                 // The plan killed the whole pool: the error is the contract.
                 prop_assert!((0..4).all(|u| plan.unit_dead(u)));
@@ -165,13 +165,8 @@ props! {
         let rates = FaultRates { corrupt: corrupt_pct as f64 / 100.0, ..FaultRates::none() };
         let plan = FaultPlan::seeded(plan_seed, rates);
         let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        let served = with_threads(WORKER_COUNTS[widx], || server.serve(&batch))
+        let server = batch_server(plan);
+        let served = with_threads(WORKER_COUNTS[widx], || server.serve_batch(&batch))
             .expect("corruption is survivable");
         let accel = ElsaAccelerator::new(config(), operator().clone());
         prop_assert_eq!(served.report.failed_count(), 0);
@@ -217,13 +212,8 @@ props! {
         let rates = FaultRates { corrupt: 1.0, ..FaultRates::none() };
         let plan = FaultPlan::seeded(plan_seed, rates);
         let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        let served = with_threads(WORKER_COUNTS[widx], || server.serve(&batch))
+        let server = batch_server(plan);
+        let served = with_threads(WORKER_COUNTS[widx], || server.serve_batch(&batch))
             .expect("corruption is survivable");
         prop_assert_eq!(served.report.degraded_count(), batch.len());
         let accel = ElsaAccelerator::new(config(), operator().clone());
@@ -253,14 +243,9 @@ props! {
     ) {
         let plan = FaultPlan::seeded(plan_seed, FaultRates::chaotic());
         let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        let serial = with_threads(1, || server.serve(&batch));
-        let parallel = with_threads(4, || server.serve(&batch));
+        let server = batch_server(plan);
+        let serial = with_threads(1, || server.serve_batch(&batch));
+        let parallel = with_threads(4, || server.serve_batch(&batch));
         match (serial, parallel) {
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (Ok(serial), Ok(parallel)) => {
@@ -283,6 +268,36 @@ props! {
                 prop_assert!(!report.mean_service_s().is_nan());
             }
             (a, b) => prop_assert!(false, "outcomes diverged across worker counts: {a:?} vs {b:?}"),
+        }
+    }
+
+    // (d) One dispatch loop: the batch path is the online pipeline with
+    // every request arriving at t = 0, so its report equals the projected
+    // report of a simultaneous trace bit for bit — at 1, 2 and 4 units,
+    // under plans mixing every fault class (a dead pool errors alike).
+    fn serve_batch_is_simultaneous_online_serving_under_chaos(
+        count in ints(6, 12),
+        trace_seed in ints_u64(1, 1 << 32),
+        plan_seed in ints_u64(1, 1 << 32),
+        uidx in ints(0, 3),
+    ) {
+        let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
+        let recorded = WorkloadTrace::record(&workload, count, &mut SeededRng::new(trace_seed));
+        let server = OnlineServer::new(
+            AcceleratorConfig { num_accelerators: [1, 2, 4][uidx], ..config() },
+            operator().clone(),
+            FaultPlan::seeded(plan_seed, FaultRates::chaotic()),
+            ServeConfig::immediate(),
+        );
+        let batch = server.serve_batch(&recorded.materialize());
+        let online = server.serve(&ArrivalTrace::simultaneous(&recorded));
+        match (batch, online) {
+            (Ok(batch), Ok(online)) => prop_assert_eq!(
+                record_bits(&batch.report),
+                record_bits(&online.to_serving_report())
+            ),
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "batch and online outcomes diverged: {a:?} vs {b:?}"),
         }
     }
 }
