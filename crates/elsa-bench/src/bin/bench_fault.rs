@@ -9,9 +9,10 @@
 //!    (immediate dispatch, `FaultPlan::none()`) against the plain
 //!    `InferenceServer::serve` on the same batch. Both run the approximate
 //!    pipeline once per request; `serve_batch` adds the event loop, the
-//!    plan lookups, a copy of each request's inputs, and keeping the
-//!    outputs it already computed. Timings are min-of-samples; the reports
-//!    themselves are bit-identical (enforced by `tests/fault_tolerance.rs`).
+//!    plan lookups, and keeping the outputs it already computed. Timings
+//!    are min-of-samples, with the quartiles of the per-pair ratios as the
+//!    noise band; the reports themselves are bit-identical (enforced by
+//!    `tests/fault_tolerance.rs`).
 //! 2. **Fault-rate sweep** — one fault class at a time at increasing
 //!    rates, reporting the simulated-clock p99 completion latency, the
 //!    degraded fraction, the failed fraction, and mean retries. Latencies
@@ -23,7 +24,7 @@ use std::time::Instant;
 
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_fault::{FaultPlan, FaultRates};
-use elsa_linalg::SeededRng;
+use elsa_linalg::{ops, SeededRng};
 use elsa_runtime::InferenceServer;
 use elsa_serve::{OnlineServer, ServeConfig};
 use elsa_sim::AcceleratorConfig;
@@ -67,37 +68,41 @@ fn main() {
     // systematically runs on a warmer cache — and report the ratio of the
     // per-side *minima*: timing noise on a shared host is strictly
     // additive, so the minimum over many samples converges on the true
-    // cost while a median ratio still wobbles by several percent. Pinned
-    // to one worker: the thread pool's scheduling jitter would otherwise
-    // swamp the signal, and the chaos layer's cost (plan lookups in the
-    // serial event loop) is worker-independent.
+    // cost while a median ratio still wobbles by several percent (reported
+    // too, with its quartiles, to show that wobble). Pinned to one worker:
+    // the thread pool's scheduling jitter would otherwise swamp the signal,
+    // and the chaos layer's cost (plan lookups in the serial event loop) is
+    // worker-independent.
     let pairs = 40;
-    let (mut plain_s, mut batch_s) = (f64::INFINITY, f64::INFINITY);
-    elsa_parallel::with_threads(1, || {
-        let time_plain = |plain_s: &mut f64| {
+    let samples: Vec<(f64, f64)> = elsa_parallel::with_threads(1, || {
+        let time = |run: &dyn Fn()| {
             let t = Instant::now();
-            std::hint::black_box(plain.serve(&batch));
-            *plain_s = plain_s.min(t.elapsed().as_secs_f64());
+            run();
+            t.elapsed().as_secs_f64()
         };
-        let time_batch = |batch_s: &mut f64| {
-            let t = Instant::now();
-            std::hint::black_box(batched.serve_batch(&batch).expect("zero-fault plan"));
-            *batch_s = batch_s.min(t.elapsed().as_secs_f64());
-        };
-        let mut warmup = f64::INFINITY;
-        time_plain(&mut warmup);
-        time_batch(&mut warmup);
-        for i in 0..pairs {
-            if i % 2 == 0 {
-                time_plain(&mut plain_s);
-                time_batch(&mut batch_s);
-            } else {
-                time_batch(&mut batch_s);
-                time_plain(&mut plain_s);
-            }
-        }
+        let plain_run = || drop(std::hint::black_box(plain.serve(&batch)));
+        let batch_run =
+            || drop(std::hint::black_box(batched.serve_batch(&batch).expect("zero-fault plan")));
+        time(&plain_run);
+        time(&batch_run);
+        (0..pairs)
+            .map(|i| {
+                if i % 2 == 0 {
+                    let p = time(&plain_run);
+                    (p, time(&batch_run))
+                } else {
+                    let b = time(&batch_run);
+                    (time(&plain_run), b)
+                }
+            })
+            .collect()
     });
+    let plain_s = samples.iter().map(|s| s.0).fold(f64::INFINITY, f64::min);
+    let batch_s = samples.iter().map(|s| s.1).fold(f64::INFINITY, f64::min);
     let overhead_pct = (batch_s / plain_s - 1.0) * 100.0;
+    let pair_pct: Vec<f64> = samples.iter().map(|(p, b)| (b / p - 1.0) * 100.0).collect();
+    let [pair_p25, pair_median, pair_p75] =
+        [25.0, 50.0, 75.0].map(|q| ops::percentile(&pair_pct, q));
 
     // 2. Fault-rate sweep, one class at a time.
     let sweeps: [(&'static str, fn(f64) -> FaultRates); 3] = [
@@ -140,12 +145,16 @@ fn main() {
     println!("  \"num_accelerators\": 4,");
     println!("  \"plan_seed\": {PLAN_SEED},");
     println!(
-        "  \"note\": \"zero_fault is host wall-clock of OnlineServer::serve_batch (immediate dispatch, zero-fault plan) vs InferenceServer::serve on the same batch: both run the approximate pipeline once per request, serve_batch adds the event loop, plan lookups and a copy of each request's inputs; shared hosts add a few percent of one-sided noise. Sweep latencies are the simulator's deterministic virtual clock and reproduce exactly on any host.\","
+        "  \"note\": \"zero_fault is host wall-clock of OnlineServer::serve_batch (immediate dispatch, zero-fault plan) vs InferenceServer::serve on the same batch: both run the approximate pipeline once per request, serve_batch adds the event loop over per-request service profiles, plan lookups and keeping the outputs. overhead_pct is the ratio of the per-side minima over alternating paired samples; pair_overhead_*_pct are the quartiles of the per-pair ratios, the noise band the overhead is read against. Shared hosts add a few percent of one-sided noise. Sweep latencies are the simulator's deterministic virtual clock and reproduce exactly on any host.\","
     );
     println!("  \"zero_fault\": {{");
     println!("    \"plain_serve_min_s\": {plain_s:.6},");
     println!("    \"serve_batch_min_s\": {batch_s:.6},");
-    println!("    \"overhead_pct\": {overhead_pct:.3}");
+    println!("    \"overhead_pct\": {overhead_pct:.3},");
+    println!("    \"pairs\": {pairs},");
+    println!("    \"pair_overhead_p25_pct\": {pair_p25:.3},");
+    println!("    \"pair_overhead_median_pct\": {pair_median:.3},");
+    println!("    \"pair_overhead_p75_pct\": {pair_p75:.3}");
     println!("  }},");
     println!("  \"sweep\": [");
     let last = rows.len() - 1;

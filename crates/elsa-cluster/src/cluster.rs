@@ -34,8 +34,8 @@ use elsa_linalg::ops;
 use elsa_runtime::RuntimeError;
 use elsa_serve::clock::ns_to_secs;
 use elsa_serve::{
-    plan_health, prepare_turns, session_admissions, CacheConfig, NodeEngine, NodeParts,
-    OnlineRecord, Outcome, PreparedRequest, QueuedRequest, ServeConfig, SessionBook,
+    check_trace_order, plan_health, prepare_turns, session_admissions, CacheConfig, NodeEngine,
+    NodeParts, OnlineRecord, Outcome, PreparedRequest, QueuedRequest, ServeConfig, SessionBook,
     SessionRegistry, SessionTrace, SessionTurnRequest,
 };
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
@@ -177,28 +177,16 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Request`] when a turn does not fit the
+    /// Returns [`RuntimeError::UnorderedTrace`] for a trace out of arrival
+    /// order, or [`RuntimeError::Request`] when a turn does not fit the
     /// hardware (rejected before any virtual time passes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival or its ids are not the
-    /// arrival-order indices (guaranteed by every [`SessionTrace`]
-    /// constructor).
     pub fn serve(&self, trace: &SessionTrace) -> Result<ClusterReport, RuntimeError> {
-        let reqs = &trace.requests;
-        assert!(
-            reqs.iter().zip(reqs.iter().skip(1)).all(|(a, b)| a.arrival_ns <= b.arrival_ns),
-            "session trace must be sorted by arrival time"
-        );
-        assert!(
-            trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
-            "session trace ids must be arrival-order indices"
-        );
+        check_trace_order(trace.requests.iter().map(|r| (r.id, r.arrival_ns)))?;
         let accel = &self.accel;
         // The one parallel stage: shared, order-preserving, node-agnostic.
         let prepared = prepare_turns(accel, &self.config.accel, &trace.requests)?;
         let admissions = session_admissions(&self.config.serve.batch, &trace.requests);
+        let inputs = |id: usize| trace.requests[id].materialize();
 
         let n = self.config.nodes;
         let mut node_health = HealthTracker::new(n, self.config.node_quarantine_after);
@@ -221,7 +209,7 @@ impl Cluster {
             let scale = self.config.node_faults.slow_factor(node);
             slow.push(scale);
             let mut engine =
-                NodeEngine::new(accel, plan, &self.config.serve, &prepared, unit_health)
+                NodeEngine::new(accel, plan, &self.config.serve, &prepared, &inputs, unit_health)
                     .with_service_scale(scale);
             if let Some(cache) = self.config.cache {
                 let hasher = accel.operator().params().hasher();

@@ -39,6 +39,11 @@ pub enum RuntimeError {
         /// Which structural rule the policy violates.
         reason: &'static str,
     },
+    /// A trace is not sorted by arrival, or its ids are not their indices.
+    UnorderedTrace {
+        /// Position of the first request that breaks the order.
+        index: usize,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -57,6 +62,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::InvalidBatchPolicy { reason } => {
                 write!(f, "invalid batch policy: {reason}")
+            }
+            RuntimeError::UnorderedTrace { index } => {
+                write!(f, "trace request {index} is out of order")
             }
         }
     }

@@ -4,9 +4,9 @@
 //! online pipeline on the virtual clock:
 //!
 //! 1. **Precompute** (the only parallel stage): every request's approximate
-//!    pipeline runs once — service seconds, numeric-guard verdict, inputs —
-//!    fanned out over worker threads in arrival order exactly like the
-//!    offline `InferenceServer`, so the report is bit-identical at any
+//!    pipeline runs once and is reduced to a service profile (no inputs
+//!    kept), fanned out over worker threads in arrival order exactly like
+//!    the offline `InferenceServer`, so the report is bit-identical at any
 //!    `ELSA_THREADS`.
 //! 2. **Admission**: arrivals enter the bounded
 //!    [`AdmissionQueue`]; a full queue triggers the configured
@@ -23,7 +23,8 @@
 //!
 //! Every arrival produces exactly one [`OnlineRecord`], so
 //! `offered = served + shed + timed-out + failed` holds by construction
-//! (and is asserted).
+//! (and is asserted). A trace out of arrival order is rejected as
+//! [`RuntimeError::UnorderedTrace`].
 //!
 //! [`OnlineServer::serve_sessions`] replays a multi-turn [`SessionTrace`]
 //! through the *same* engine with two additions: **session affinity** (every
@@ -46,7 +47,6 @@ use elsa_attention::exact::AttentionInputs;
 use elsa_core::ElsaAttention;
 use elsa_fault::{FaultPlan, HealthTracker};
 use elsa_linalg::ops;
-use elsa_linalg::reduce::sum_f64;
 use elsa_linalg::Matrix;
 use elsa_runtime::{RequestRecord, RuntimeError, ServingReport};
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
@@ -55,8 +55,8 @@ use crate::arrival::ArrivalTrace;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::ns_to_secs;
 use crate::engine::{
-    entry_admissions, guard_trips, plan_health, precompute, precompute_work, prepare_entries,
-    prepare_turns, session_admissions, NodeEngine, PreparedRequest, SessionBook,
+    check_trace_order, entry_admissions, plan_health, precompute, prepare_entries, prepare_turns,
+    profile, session_admissions, NodeEngine, PreparedRequest, SessionBook,
 };
 use crate::queue::{Backpressure, QueuedRequest};
 use crate::session::{CacheConfig, CacheStats, SessionRegistry, SessionTrace};
@@ -255,18 +255,6 @@ impl ServeReport {
         }
     }
 
-    /// Mean queue delay over the served requests; `0.0` when nothing was
-    /// served.
-    #[must_use]
-    pub fn mean_queue_delay_s(&self) -> f64 {
-        let count = self.served().count();
-        if count == 0 {
-            0.0
-        } else {
-            sum_f64(self.served().map(|r| r.queue_delay_s)) / count as f64
-        }
-    }
-
     /// Fraction of deadline-carrying requests served within their deadline;
     /// `1.0` when no request carried a deadline (nothing to miss).
     #[must_use]
@@ -420,35 +408,24 @@ impl OnlineServer {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Request`] when a request does not fit the
+    /// Returns [`RuntimeError::UnorderedTrace`] for a trace out of arrival
+    /// order, [`RuntimeError::Request`] when a request does not fit the
     /// hardware (the trace is rejected before any virtual time passes), or
     /// [`RuntimeError::NoHealthyUnits`] when the fault plan killed every
     /// unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival or its ids are not the
-    /// arrival-order indices (both are guaranteed by every
-    /// [`ArrivalTrace`] constructor).
     pub fn serve(&self, trace: &ArrivalTrace) -> Result<ServeReport, RuntimeError> {
-        let reqs = &trace.requests;
-        assert!(
-            reqs.iter().zip(reqs.iter().skip(1)).all(|(a, b)| a.arrival_ns <= b.arrival_ns),
-            "arrival trace must be sorted by arrival time"
-        );
-        assert!(
-            trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
-            "arrival trace ids must be arrival-order indices"
-        );
+        check_trace_order(trace.requests.iter().map(|r| (r.id, r.arrival_ns)))?;
         let health = self.healthy_pool()?;
 
         // Thread-independent precompute, fanned out in arrival order: the
         // serial event loop below never touches the simulator except for
         // padded-timing runs, which are themselves deterministic functions
-        // of the precomputed state.
-        let prepared = prepare_entries(&self.accel, self.accel.config(), &trace.requests)?;
-        let admissions = entry_admissions(&self.config.batch, &trace.requests, &prepared);
-        let (records, bucket_stats, _) = self.run_engine(health, &prepared, &admissions, None);
+        // of the trace entries.
+        let prepared = prepare_entries(&self.accel, &trace.requests)?;
+        let admissions = entry_admissions(&self.config.batch, &trace.requests);
+        let inputs = |id: usize| trace.requests[id].entry.materialize();
+        let (records, bucket_stats, _) =
+            self.run_engine(health, &prepared, &inputs, &admissions, None);
         Ok(ServeReport { records, bucket_stats })
     }
 
@@ -474,32 +451,25 @@ impl OnlineServer {
     /// [`RuntimeError::NoHealthyUnits`] when the fault plan killed every
     /// unit.
     pub fn serve_batch(&self, requests: &[AttentionInputs]) -> Result<ServedBatch, RuntimeError> {
-        let accel_config = self.accel.config();
-        let work = precompute_work(requests.iter().map(|r| (r.num_keys(), r.dim())));
-        let runs = precompute(requests.len(), work, |i| {
-            let run = self.accel.try_run(&requests[i])?;
-            let service_s = run.cycles.seconds(accel_config);
-            let prepared = PreparedRequest {
-                inputs: requests[i].clone(),
-                service_s,
-                hit_service_s: service_s,
-                trips: guard_trips(&run),
-            };
-            Ok((prepared, run.output))
+        let runs = precompute(requests.iter().map(|r| (r.num_keys(), r.dim())), |i| {
+            profile(&self.accel, self.accel.config(), &requests[i], None)
+                .map(|(prepared, run)| (prepared, run.output))
         })?;
         let health = self.healthy_pool()?;
         let (prepared, approximate): (Vec<PreparedRequest>, Vec<Matrix>) =
             runs.into_iter().unzip();
-        let admissions: Vec<QueuedRequest> = prepared
+        let admissions: Vec<QueuedRequest> = requests
             .iter()
             .enumerate()
-            .map(|(id, p)| {
-                let n_real = p.inputs.num_keys();
+            .map(|(id, r)| {
+                let n_real = r.num_keys();
                 let bucket = self.config.batch.bucket_of(n_real);
                 QueuedRequest { id, arrival_ns: 0, deadline_ns: None, n_real, bucket }
             })
             .collect();
-        let (records, bucket_stats, _) = self.run_engine(health, &prepared, &admissions, None);
+        let inputs = |id: usize| requests[id].clone();
+        let (records, bucket_stats, _) =
+            self.run_engine(health, &prepared, &inputs, &admissions, None);
         let report = ServeReport { records, bucket_stats }.to_serving_report();
         let outputs = report
             .records
@@ -533,26 +503,12 @@ impl OnlineServer {
     /// # Errors
     ///
     /// Same as [`OnlineServer::serve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival or its ids are not the
-    /// arrival-order indices (both are guaranteed by every [`SessionTrace`]
-    /// constructor).
     pub fn serve_sessions(
         &self,
         trace: &SessionTrace,
         cache: CacheConfig,
     ) -> Result<SessionReport, RuntimeError> {
-        let reqs = &trace.requests;
-        assert!(
-            reqs.iter().zip(reqs.iter().skip(1)).all(|(a, b)| a.arrival_ns <= b.arrival_ns),
-            "session trace must be sorted by arrival time"
-        );
-        assert!(
-            trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
-            "session trace ids must be arrival-order indices"
-        );
+        check_trace_order(trace.requests.iter().map(|r| (r.id, r.arrival_ns)))?;
         let health = self.healthy_pool()?;
         let prepared = prepare_turns(&self.accel, self.accel.config(), &trace.requests)?;
         let admissions = session_admissions(&self.config.batch, &trace.requests);
@@ -561,8 +517,9 @@ impl OnlineServer {
             SessionRegistry::new(cache, hasher.dim(), hasher.k()),
             &trace.requests,
         );
+        let inputs = |id: usize| trace.requests[id].materialize();
         let (records, bucket_stats, cache_stats) =
-            self.run_engine(health, &prepared, &admissions, Some(book));
+            self.run_engine(health, &prepared, &inputs, &admissions, Some(book));
         Ok(SessionReport {
             serve: ServeReport { records, bucket_stats },
             cache: cache_stats.unwrap_or_default(),
@@ -583,7 +540,8 @@ impl OnlineServer {
     /// The serial virtual-clock event loop shared by [`serve`](Self::serve)
     /// and [`serve_sessions`](Self::serve_sessions), running on the
     /// extracted [`NodeEngine`]: admissions must be in arrival order with
-    /// one entry per prepared request.
+    /// one entry per prepared request, and `inputs` regenerates a request's
+    /// inputs by id for padded timing.
     ///
     /// # Panics
     ///
@@ -594,10 +552,12 @@ impl OnlineServer {
         &self,
         health: HealthTracker,
         prepared: &[PreparedRequest],
+        inputs: &dyn Fn(usize) -> AttentionInputs,
         admissions: &[QueuedRequest],
         sessions: Option<SessionBook<'_>>,
     ) -> (Vec<OnlineRecord>, Vec<BucketStats>, Option<CacheStats>) {
-        let mut engine = NodeEngine::new(&self.accel, self.plan, &self.config, prepared, health);
+        let mut engine =
+            NodeEngine::new(&self.accel, self.plan, &self.config, prepared, inputs, health);
         if let Some(book) = sessions {
             engine = engine.with_sessions(book);
         }
@@ -1037,6 +997,89 @@ mod tests {
             let base_s = accel.run_base_streaming(request).cycles.seconds(&cfg);
             assert_eq!(d.service_s.to_bits(), (c.service_s + base_s).to_bits());
         }
+    }
+
+    #[test]
+    fn unordered_arrival_trace_is_a_typed_error() {
+        let server =
+            OnlineServer::new(config(), operator(30), FaultPlan::none(), ServeConfig::default());
+        let mut unordered = trace(6, 1_000.0, None, 31);
+        unordered.requests.swap(2, 3);
+        let err = server.serve(&unordered).unwrap_err();
+        assert_eq!(err, RuntimeError::UnorderedTrace { index: 2 }, "ids out of order");
+        for (id, request) in unordered.requests.iter_mut().enumerate() {
+            request.id = id;
+        }
+        let err = server.serve(&unordered).unwrap_err();
+        assert_eq!(err, RuntimeError::UnorderedTrace { index: 3 }, "arrivals out of order");
+    }
+
+    #[test]
+    fn unordered_session_trace_is_a_typed_error() {
+        use crate::session::{CacheConfig, SessionTrace};
+        let server =
+            OnlineServer::new(config(), operator(32), FaultPlan::none(), ServeConfig::default());
+        let mut unordered = SessionTrace::single_turn(&trace(6, 1_000.0, None, 33));
+        unordered.requests.swap(2, 3);
+        let err = server.serve_sessions(&unordered, CacheConfig::unbounded()).unwrap_err();
+        assert_eq!(err, RuntimeError::UnorderedTrace { index: 2 }, "ids out of order");
+        for (id, turn) in unordered.requests.iter_mut().enumerate() {
+            turn.id = id;
+        }
+        let err = server.serve_sessions(&unordered, CacheConfig::unbounded()).unwrap_err();
+        assert_eq!(err, RuntimeError::UnorderedTrace { index: 3 }, "arrivals out of order");
+    }
+
+    #[test]
+    fn padded_decode_turns_pad_queries_to_the_batch_not_the_context() {
+        use crate::session::{CacheConfig, SessionArrivalConfig, SessionTrace, SessionTurnRequest};
+        let cfg = AcceleratorConfig { num_accelerators: 1, ..config() };
+        let generated = SessionTrace::generate(
+            &workload(),
+            &SessionArrivalConfig {
+                lambda_per_s: 5_000.0,
+                sessions: 6,
+                slo_ns: None,
+                max_decode_turns: Some(3),
+            },
+            &mut SeededRng::new(23),
+        );
+        // The decode turns alone, re-indexed: one padded batch whose every
+        // member runs one query over a different context length.
+        let requests: Vec<SessionTurnRequest> = generated
+            .requests
+            .iter()
+            .filter(|turn| turn.appended == 1)
+            .enumerate()
+            .map(|(id, turn)| SessionTurnRequest { id, ..*turn })
+            .collect();
+        let decode = SessionTrace { requests };
+        let server = OnlineServer::new(
+            cfg,
+            operator(34),
+            FaultPlan::none(),
+            ServeConfig {
+                batch: BatchPolicy::single_bucket(decode.len(), u64::MAX / 2),
+                mode: BatcherMode::Padded,
+                ..ServeConfig::default()
+            },
+        );
+        let report = server.serve_sessions(&decode, CacheConfig::unbounded()).expect("healthy");
+        assert_eq!(report.serve.bucket_stats[0].batches, 1, "one padded batch");
+        let padded_n = decode.requests.iter().map(|t| t.prefix_len).max().expect("decode turns");
+        let accel = ElsaAccelerator::new(cfg, operator(34));
+        let pad = |m: &Matrix| m.vstack(&Matrix::zeros(padded_n - m.rows(), m.cols()));
+        let mut padded_turns = 0;
+        for (record, turn) in report.serve.records.iter().zip(&decode.requests) {
+            assert_eq!(record.outcome, Outcome::Served { degraded: false });
+            let inputs = turn.materialize();
+            let (key, value) = (pad(inputs.key()), pad(inputs.value()));
+            let one_query = AttentionInputs::new(inputs.query().clone(), key, value);
+            let expected = accel.run(&one_query).cycles.seconds(&cfg);
+            assert_eq!(record.service_s.to_bits(), expected.to_bits(), "turn {}", turn.id);
+            padded_turns += usize::from(turn.prefix_len < padded_n);
+        }
+        assert!(padded_turns > 0, "shorter contexts actually padded");
     }
 
     #[test]

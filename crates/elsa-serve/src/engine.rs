@@ -32,11 +32,13 @@
 //! outputs builds them afterwards from the records (see
 //! [`OnlineServer::serve_batch`](crate::dispatch::OnlineServer::serve_batch)).
 //!
-//! Precompute stays outside the engine in [`prepare_entries`] /
-//! [`prepare_turns`]: the only parallel stage, fanned out in arrival order
-//! under the same `elsa_parallel` gate as the offline `InferenceServer`, so
-//! reports are bit-identical at any `ELSA_THREADS` no matter how many
-//! engines share the prepared slice.
+//! Precompute stays outside the engine (e.g. [`prepare_turns`]): the only
+//! parallel stage, fanned out in arrival order under the same
+//! `elsa_parallel` gate as the offline `InferenceServer`, so reports are
+//! bit-identical at any `ELSA_THREADS` no matter how many engines share
+//! the prepared slice. It reduces each request to a [`PreparedRequest`]
+//! service profile and drops the inputs; the engine re-materializes a
+//! request through its input lookup only to time a padded batch.
 
 use elsa_attention::exact::AttentionInputs;
 use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker, SATURATION_LIMIT};
@@ -45,7 +47,6 @@ use elsa_linalg::Matrix;
 use elsa_runtime::RuntimeError;
 use elsa_sim::cycle::simulate_execution_base;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
-use elsa_workloads::sessions::turn_inputs;
 
 use crate::arrival::ArrivalRequest;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
@@ -54,14 +55,10 @@ use crate::dispatch::{OnlineRecord, Outcome, ServeConfig};
 use crate::queue::{AdmissionQueue, Backpressure, QueuedRequest};
 use crate::session::{CacheStats, SessionRegistry, SessionTurnRequest};
 
-/// One request's thread-independent precompute: the materialized inputs,
-/// the measured service seconds (full and cache-hit variants), and the
-/// numeric-guard verdict.
-#[derive(Debug)]
+/// One request's service profile, reduced from one thread-independent run
+/// of the approximate pipeline: everything the engine charges, no inputs.
+#[derive(Debug, Clone, Copy)]
 pub struct PreparedRequest {
-    /// The materialized attention inputs (kept for padded-timing runs and
-    /// the degraded request's exact-attention charge).
-    pub inputs: AttentionInputs,
     /// Service seconds of the full from-scratch run.
     pub service_s: f64,
     /// Service seconds when the session cache holds the expected prefix:
@@ -69,6 +66,8 @@ pub struct PreparedRequest {
     /// preprocessing of only the appended tokens. Equal to `service_s`
     /// outside session serving.
     pub hit_service_s: f64,
+    /// Query rows the request runs (for degraded and padded charges).
+    pub n_queries: usize,
     /// Whether the numeric guard tripped on the approximate result.
     pub trips: bool,
 }
@@ -82,20 +81,37 @@ pub(crate) fn guard_trips(report: &RunReport) -> bool {
         || report.output.as_slice().iter().any(|v| !(v.abs() < SATURATION_LIMIT))
 }
 
-/// Σ n²·d across shapes — the work estimate the parallel gate keys on.
-pub(crate) fn precompute_work(shapes: impl Iterator<Item = (usize, usize)>) -> usize {
-    shapes.map(|(n, d)| n.saturating_mul(n).saturating_mul(d)).sum()
+/// Runs one request's approximate pipeline and reduces it to its service
+/// profile, keeping the run for a caller that serves its output.
+/// `appended` is the token count a session-cache hit preprocesses (`None`
+/// outside session serving, where the hit cost is the full cost).
+pub(crate) fn profile(
+    accel: &ElsaAccelerator,
+    accel_config: &AcceleratorConfig,
+    inputs: &AttentionInputs,
+    appended: Option<usize>,
+) -> Result<(PreparedRequest, RunReport), FitError> {
+    let run = accel.try_run(inputs)?;
+    let service_s = run.cycles.seconds(accel_config);
+    let hit_service_s = appended.map_or(service_s, |appended| {
+        let hit_cycles = run.cycles.total() - run.cycles.preprocessing
+            + accel_config.preprocessing_cycles(appended);
+        hit_cycles as f64 * accel_config.cycle_time_s()
+    });
+    let n_queries = inputs.num_queries();
+    Ok((PreparedRequest { service_s, hit_service_s, n_queries, trips: guard_trips(&run) }, run))
 }
 
-/// Runs `run_one` over `0..len` in index order — fanned out over worker
-/// threads when the work estimate clears the `elsa_parallel` gate — and
-/// surfaces the first misfit as a typed error. Results are bit-identical
-/// at any `ELSA_THREADS`.
+/// Runs `run_one` over every request in index order — fanned out over
+/// worker threads when Σ n²·d over the requests' `(n, d)` shapes clears the
+/// `elsa_parallel` gate — and surfaces the first misfit as a typed error.
+/// Results are bit-identical at any `ELSA_THREADS`.
 pub(crate) fn precompute<T: Send>(
-    len: usize,
-    work: usize,
+    shapes: impl ExactSizeIterator<Item = (usize, usize)>,
     run_one: impl Fn(usize) -> Result<T, FitError> + Sync,
 ) -> Result<Vec<T>, RuntimeError> {
+    let len = shapes.len();
+    let work: usize = shapes.map(|(n, d)| n.saturating_mul(n).saturating_mul(d)).sum();
     let runs: Vec<Result<T, FitError>> = if elsa_parallel::beneficial(work) && len > 1 {
         elsa_parallel::par_map_indexed(len, run_one)
     } else {
@@ -108,34 +124,45 @@ pub(crate) fn precompute<T: Send>(
     Ok(prepared)
 }
 
-/// Precomputes every arrival of a plain trace: the one parallel stage,
-/// fanned out in arrival order so results are bit-identical at any
-/// `ELSA_THREADS`.
+/// Checks a trace's `(id, arrival_ns)` pairs: arrivals sorted by time, ids
+/// equal to the arrival-order indices. Trace fields are public, so a
+/// hand-built trace can break what every constructor guarantees.
+///
+/// # Errors
+///
+/// Returns [`RuntimeError::UnorderedTrace`] naming the first request out of
+/// order.
+pub fn check_trace_order(
+    requests: impl IntoIterator<Item = (usize, u64)>,
+) -> Result<(), RuntimeError> {
+    let mut last_arrival_ns = 0;
+    for (index, (id, arrival_ns)) in requests.into_iter().enumerate() {
+        if id != index || arrival_ns < last_arrival_ns {
+            return Err(RuntimeError::UnorderedTrace { index });
+        }
+        last_arrival_ns = arrival_ns;
+    }
+    Ok(())
+}
+
+/// Precomputes the service profile of every arrival of a plain trace.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Request`] for the first request that does not
 /// fit the hardware.
-pub fn prepare_entries(
+pub(crate) fn prepare_entries(
     accel: &ElsaAccelerator,
-    accel_config: &AcceleratorConfig,
     requests: &[ArrivalRequest],
 ) -> Result<Vec<PreparedRequest>, RuntimeError> {
-    let run_one = |i: usize| -> Result<PreparedRequest, FitError> {
+    precompute(requests.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)), |i| {
         let inputs = requests[i].entry.materialize();
-        let run = accel.try_run(&inputs)?;
-        let service_s = run.cycles.seconds(accel_config);
-        Ok(PreparedRequest { service_s, hit_service_s: service_s, trips: guard_trips(&run), inputs })
-    };
-    let work = precompute_work(
-        requests.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)),
-    );
-    precompute(requests.len(), work, run_one)
+        profile(accel, accel.config(), &inputs, None).map(|(prepared, _)| prepared)
+    })
 }
 
-/// Precomputes every turn of a session trace: full-cost and cache-hit
-/// service seconds per turn, under the same parallel gate as
-/// [`prepare_entries`].
+/// Precomputes the service profile of every turn of a session trace,
+/// full-cost and cache-hit service seconds both.
 ///
 /// # Errors
 ///
@@ -146,37 +173,22 @@ pub fn prepare_turns(
     accel_config: &AcceleratorConfig,
     turns: &[SessionTurnRequest],
 ) -> Result<Vec<PreparedRequest>, RuntimeError> {
-    let run_one = |i: usize| -> Result<PreparedRequest, FitError> {
-        let request = &turns[i];
-        let full = request.entry.materialize();
-        let inputs = turn_inputs(&full, request.prefix_len, request.appended);
-        let run = accel.try_run(&inputs)?;
-        let hit_cycles = run.cycles.total() - run.cycles.preprocessing
-            + accel_config.preprocessing_cycles(request.appended);
-        Ok(PreparedRequest {
-            service_s: run.cycles.seconds(accel_config),
-            hit_service_s: hit_cycles as f64 * accel_config.cycle_time_s(),
-            trips: guard_trips(&run),
-            inputs,
-        })
-    };
-    let work =
-        precompute_work(turns.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)));
-    precompute(turns.len(), work, run_one)
+    precompute(turns.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)), |i| {
+        let inputs = turns[i].materialize();
+        profile(accel, accel_config, &inputs, Some(turns[i].appended)).map(|(prepared, _)| prepared)
+    })
 }
 
 /// Builds the admission entries of a plain trace: each request routes to
 /// the bucket of its real length.
-#[must_use]
-pub fn entry_admissions(
+pub(crate) fn entry_admissions(
     batch: &BatchPolicy,
     requests: &[ArrivalRequest],
-    prepared: &[PreparedRequest],
 ) -> Vec<QueuedRequest> {
     requests
         .iter()
         .map(|request| {
-            let n_real = prepared[request.id].inputs.num_keys();
+            let n_real = request.entry.pattern.n_real;
             QueuedRequest {
                 id: request.id,
                 arrival_ns: request.arrival_ns,
@@ -291,12 +303,12 @@ pub struct NodeParts {
 }
 
 /// Mutable state of one serving run: the serial event loop of one node.
-#[derive(Debug)]
 pub struct NodeEngine<'a> {
     accel: &'a ElsaAccelerator,
     plan: FaultPlan,
     cfg: &'a ServeConfig,
     prepared: &'a [PreparedRequest],
+    inputs: &'a dyn Fn(usize) -> AttentionInputs,
     clock: VirtualClock,
     queue: AdmissionQueue,
     free_at: Vec<f64>,
@@ -307,17 +319,26 @@ pub struct NodeEngine<'a> {
     service_scale: f64,
 }
 
+impl std::fmt::Debug for NodeEngine<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodeEngine").field("now_ns", &self.clock.now_ns()).finish_non_exhaustive()
+    }
+}
+
 impl<'a> NodeEngine<'a> {
     /// A fresh engine over an accelerator pool. `prepared` is the *whole*
     /// trace's precompute, indexed by request id — an engine that serves
     /// only a routed subset still sizes its record slots to the full
-    /// trace, so fleet-level merges are a positional union.
+    /// trace, so fleet-level merges are a positional union. `inputs`
+    /// regenerates a request's attention inputs by id; the engine calls it
+    /// only to time a padded batch member that actually pads.
     #[must_use]
     pub fn new(
         accel: &'a ElsaAccelerator,
         plan: FaultPlan,
         cfg: &'a ServeConfig,
         prepared: &'a [PreparedRequest],
+        inputs: &'a dyn Fn(usize) -> AttentionInputs,
         health: HealthTracker,
     ) -> Self {
         let units = accel.config().num_accelerators;
@@ -326,6 +347,7 @@ impl<'a> NodeEngine<'a> {
             plan,
             cfg,
             prepared,
+            inputs,
             clock: VirtualClock::new(),
             queue: AdmissionQueue::new(cfg.batch.num_buckets(), cfg.queue_capacity),
             free_at: vec![0.0f64; units],
@@ -477,12 +499,16 @@ impl<'a> NodeEngine<'a> {
         }
         self.stats[bucket].batches += 1;
         self.stats[bucket].requests += batch.len() as u64;
-        // Padding is a formation-time decision: the batch maximum is fixed
-        // over everything drained, before deadline checks, exactly as a
-        // pad-to-max kernel launch would be shaped.
-        let padded_n = match self.cfg.mode {
-            BatcherMode::Bucketed => 0,
-            BatcherMode::Padded => batch.iter().map(|r| r.n_real).max().unwrap_or(0),
+        // Padding is a formation-time decision: the batch maxima (key rows
+        // and query rows) are fixed over everything drained, before
+        // deadline checks, exactly as a pad-to-max kernel launch would be
+        // shaped.
+        let (padded_n, padded_q) = match self.cfg.mode {
+            BatcherMode::Bucketed => (0, 0),
+            BatcherMode::Padded => (
+                batch.iter().map(|r| r.n_real).max().unwrap_or(0),
+                batch.iter().map(|r| self.prepared[r.id].n_queries).max().unwrap_or(0),
+            ),
         };
         for request in batch {
             self.stats[bucket].real_rows += request.n_real as u64;
@@ -490,7 +516,7 @@ impl<'a> NodeEngine<'a> {
                 BatcherMode::Bucketed => self.bucketed_service_s(request.id),
                 BatcherMode::Padded => {
                     self.stats[bucket].padded_rows += (padded_n - request.n_real) as u64;
-                    self.padded_service_s(request.id, padded_n)
+                    self.padded_service_s(&request, padded_n, padded_q)
                 }
             };
             self.dispatch_one(request, charged * self.service_scale);
@@ -534,19 +560,22 @@ impl<'a> NodeEngine<'a> {
         }
     }
 
-    /// The service seconds of one request padded (with zero rows) to
-    /// `padded_n` entities — the GPU-emulation cost. Falls back to the
-    /// precomputed time when no padding is needed.
-    fn padded_service_s(&self, id: usize, padded_n: usize) -> f64 {
-        let p = &self.prepared[id];
-        if padded_n <= p.inputs.num_keys() {
+    /// The service seconds of one request padded with zero rows to the
+    /// batch maxima — `padded_q` query rows, `padded_n` key/value rows —
+    /// the GPU-emulation cost. Falls back to the precomputed time when no
+    /// padding is needed; otherwise re-materializes the request's inputs
+    /// through the engine's lookup and times the padded run.
+    fn padded_service_s(&self, request: &QueuedRequest, padded_n: usize, padded_q: usize) -> f64 {
+        let p = &self.prepared[request.id];
+        if padded_n <= request.n_real && padded_q <= p.n_queries {
             return p.service_s;
         }
-        let pad = |m: &Matrix| m.vstack(&Matrix::zeros(padded_n - m.rows(), m.cols()));
+        let inputs = (self.inputs)(request.id);
+        let pad = |m: &Matrix, rows: usize| m.vstack(&Matrix::zeros(rows - m.rows(), m.cols()));
         let padded = AttentionInputs::new(
-            pad(p.inputs.query()),
-            pad(p.inputs.key()),
-            pad(p.inputs.value()),
+            pad(inputs.query(), padded_q),
+            pad(inputs.key(), padded_n),
+            pad(inputs.value(), padded_n),
         );
         self.accel.run(&padded).cycles.seconds(self.accel.config())
     }
@@ -619,9 +648,8 @@ impl<'a> NodeEngine<'a> {
             {
                 // Degrade to exact attention: charge the base-mode cycle
                 // model, the same cycles `run_base_streaming` reports.
-                let (n, n_q) = (prepared.inputs.num_keys(), prepared.inputs.num_queries());
                 let config = self.accel.config();
-                let base = simulate_execution_base(config, n, n_q);
+                let base = simulate_execution_base(config, request.n_real, prepared.n_queries);
                 ((charged_service + base.seconds(config)) * slowdown, true)
             } else {
                 (charged_service * slowdown, false)
@@ -667,5 +695,15 @@ impl<'a> NodeEngine<'a> {
             retries,
             outcome,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PreparedRequest;
+
+    #[test]
+    fn a_service_profile_is_a_few_scalars() {
+        assert!(std::mem::size_of::<PreparedRequest>() <= 40);
     }
 }

@@ -69,8 +69,8 @@ pub use dispatch::{
     OnlineRecord, OnlineServer, Outcome, ServeConfig, ServeReport, ServedBatch, SessionReport,
 };
 pub use engine::{
-    entry_admissions, plan_health, prepare_entries, prepare_turns, session_admissions,
-    NodeEngine, NodeParts, PreparedRequest, SessionBook,
+    check_trace_order, plan_health, prepare_turns, session_admissions, NodeEngine, NodeParts,
+    PreparedRequest, SessionBook,
 };
 pub use estimator::ServiceEstimator;
 pub use queue::{AdmissionQueue, Backpressure, QueuedRequest};

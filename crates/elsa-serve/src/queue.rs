@@ -100,12 +100,6 @@ impl AdmissionQueue {
         self.len += 1;
     }
 
-    /// The oldest waiter in one bucket.
-    #[must_use]
-    pub fn oldest_in_bucket(&self, bucket: usize) -> Option<&QueuedRequest> {
-        self.buckets[bucket].front()
-    }
-
     /// The bucket holding the globally oldest request (ties broken by the
     /// lower request id, which is unique).
     #[must_use]

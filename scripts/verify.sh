@@ -5,7 +5,8 @@
 # 2. workspace-wide unit tests, run twice — pinned to one worker thread and
 #    to four — so the deterministic-parallelism contract (bit-identical
 #    results at any worker count; see crates/elsa-parallel) is exercised on
-#    every gate run, plus bench smoke runs
+#    every gate run, plus bench smoke runs and a one-second run of each
+#    host-benchmark workload (BENCHMARK.json's command) at its pinned seed
 # 3. static analysis: `elsa-lint` (in-tree, zero-dependency) scans every .rs
 #    file and Cargo.toml and enforces the determinism, reduction-order,
 #    arithmetic-headroom, panic-policy/pairing/reachability, and
@@ -119,6 +120,17 @@ echo "==> long-context regression (bench_longctx vs committed BENCH_longctx.json
 # read no clocks and no host state, so the JSON reproduces byte-for-byte.
 cargo run -q --release --offline -p elsa-bench --bin bench_longctx | diff - BENCH_longctx.json \
   || { echo "FAIL: bench_longctx output diverged from committed BENCH_longctx.json"; exit 1; }
+
+echo "==> host benchmark (BENCHMARK.json command, every workload, seed 42)"
+# The host-clock benchmark in .hostbench/ drives the public serving and
+# kernel APIs and exits nonzero when a check fails; at seed 42 it also pins
+# digests of the fleet records and outputs. A one-second run of each
+# workload therefore catches both API drift and changed fleet records.
+for workload in prefill-2k longdoc-16k decode-fleet; do
+  cargo run --release --offline --quiet --manifest-path .hostbench/Cargo.toml -- \
+    --workload "$workload" --seed 42 --seconds 1 --trace 0 \
+    || { echo "FAIL: host benchmark workload $workload"; exit 1; }
+done
 
 echo "==> bench smoke runs (each benchmark body once)"
 cargo test -q --offline --workspace --benches

@@ -25,10 +25,10 @@
 //!   never double-count; flapped nodes are quarantined, probed, and
 //!   reinstated; the autoscaler grows the active set under overload and
 //!   absorbs a node death.
-//! * **(g) Construction contract** — a malformed batch policy is a typed
-//!   error, not a panic, and a node whose every accelerator is dead at
-//!   provisioning is tolerated (dead on arrival) instead of failing the
-//!   fleet.
+//! * **(g) Construction contract** — a malformed batch policy and an
+//!   out-of-order trace are typed errors, not panics, and a node whose
+//!   every accelerator is dead at provisioning is tolerated (dead on
+//!   arrival) instead of failing the fleet.
 //!
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test cluster_fault_tolerance`.
@@ -657,4 +657,22 @@ fn nodes_with_every_unit_dead_are_tolerated() {
         .expect("a fleet tolerates dead nodes");
     assert_exact_accounting(&report, 12, "dead on arrival");
     assert_eq!(report.served_count(), 0, "no accelerator survives anywhere");
+}
+
+#[test]
+fn unordered_trace_is_a_typed_error() {
+    let arrivals = ArrivalTrace::generate(
+        &workload(),
+        &ArrivalConfig::poisson(50_000.0, 8),
+        &mut SeededRng::new(0x0DE2),
+    );
+    let fleet = ClusterConfig::baseline(2, config(), serve_config());
+    let cluster = Cluster::new(fleet, operator().clone());
+    let mut trace = SessionTrace::single_turn(&arrivals);
+    trace.requests.swap(4, 5);
+    assert_eq!(cluster.serve(&trace).unwrap_err(), RuntimeError::UnorderedTrace { index: 4 });
+    for (id, turn) in trace.requests.iter_mut().enumerate() {
+        turn.id = id;
+    }
+    assert_eq!(cluster.serve(&trace).unwrap_err(), RuntimeError::UnorderedTrace { index: 5 });
 }
