@@ -12,7 +12,7 @@ use elsa_bench::table::{fmt, Table};
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_linalg::SeededRng;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
-use elsa_sparse::SegmentedAttention;
+use elsa_sparse::{Rival, SegmentedAttention};
 use elsa_workloads::tasks::ClassificationProbe;
 use elsa_workloads::AttentionPatternConfig;
 

@@ -11,7 +11,7 @@ use elsa_baselines::GpuModel;
 use elsa_bench::table::{fmt, Table};
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_linalg::SeededRng;
-use elsa_sparse::{LocalAttention, LshAttention, LshAttentionConfig};
+use elsa_sparse::{LocalAttention, LshAttention, LshAttentionConfig, Rival};
 use elsa_workloads::tasks::ClassificationProbe;
 use elsa_workloads::AttentionPatternConfig;
 
@@ -27,39 +27,34 @@ fn main() {
     println!("§V-E — ELSA vs software sparse attention (n = 512, content-based relevance)\n");
     let mut table = Table::new(&["scheme", "attended pairs (%)", "metric (%)"]);
 
-    let mut eval = |name: String, cands_fn: &mut dyn FnMut(&elsa_attention::AttentionInputs) -> Vec<Vec<usize>>| {
-        let mut metric = 0.0;
-        let mut frac = 0.0;
-        for inputs in &test {
-            let cands = cands_fn(inputs);
-            let selected: usize = cands.iter().map(Vec::len).sum();
-            frac += selected as f64 / (inputs.num_queries() * inputs.num_keys()) as f64;
-            let out = exact::attention_with_candidates(inputs, &cands, 1.0);
-            metric += probe.agreement(&exact::attention(inputs), &out);
-        }
-        let count = test.len() as f64;
-        table.row(&[name, fmt(frac / count * 100.0, 1), fmt(metric / count * 100.0, 2)]);
-    };
-
-    // ELSA at p = 1 and p = 2.
+    // ELSA at p = 1 and p = 2, Reformer-style LSH and local windows at two
+    // budgets each.
+    let mut rivals: Vec<(String, Box<dyn Rival>)> = Vec::new();
     for p in [1.0, 2.0] {
         let mut op_rng = SeededRng::new(31);
         let operator =
             ElsaAttention::learn(ElsaParams::for_dims(d, d, &mut op_rng), &train, p);
-        eval(format!("ELSA (p = {p})"), &mut |inputs| operator.candidates(inputs).0);
+        rivals.push((format!("ELSA (p = {p})"), Box::new(operator)));
     }
-    // Reformer-style LSH at two budgets.
     for (bits, rounds) in [(4usize, 2usize), (3, 4)] {
         let mut lsh_rng = SeededRng::new(32);
         let lsh = LshAttention::new(d, LshAttentionConfig { bucket_bits: bits, rounds }, &mut lsh_rng);
-        eval(format!("LSH ({bits} bits x {rounds} rounds)"), &mut |inputs| {
-            lsh.candidates(inputs).0
-        });
+        rivals.push((format!("LSH ({bits} bits x {rounds} rounds)"), Box::new(lsh)));
     }
-    // Local windows at two budgets.
     for window in [32usize, 64] {
-        let local = LocalAttention::new(window, 2);
-        eval(format!("local (window +-{window})"), &mut |inputs| local.candidates(inputs).0);
+        rivals.push((format!("local (window +-{window})"), Box::new(LocalAttention::new(window, 2))));
+    }
+
+    for (name, rival) in rivals {
+        let mut metric = 0.0;
+        let mut frac = 0.0;
+        for inputs in &test {
+            let (out, stats) = rival.forward(inputs);
+            frac += stats.candidate_fraction();
+            metric += probe.agreement(&exact::attention(inputs), &out);
+        }
+        let count = test.len() as f64;
+        table.row(&[name, fmt(frac / count * 100.0, 1), fmt(metric / count * 100.0, 2)]);
     }
     table.print();
     println!(

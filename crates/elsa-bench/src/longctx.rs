@@ -1,6 +1,6 @@
 //! Shared evaluation logic for the long-context rival comparison: ELSA's
 //! hash-based candidate selection vs the pooled-KV compression rival of
-//! `elsa-pool`, on identical traces from `elsa_workloads::longctx`.
+//! `elsa_sparse::pool`, on identical traces from `elsa_workloads::longctx`.
 //!
 //! Both `fig10_accuracy_vs_p` (human-readable frontier section) and
 //! `bench_longctx` (committed JSON) call [`frontier`], so the table and the
@@ -9,16 +9,16 @@
 //! Fidelity is measured against the bitwise-exact attention output on the
 //! same inputs, two ways: NDCG@10 over the value rows (the recommender-style
 //! ranking proxy of `elsa_workloads::tasks`) and relative Frobenius error.
-//! Compute is the analytic operation count of each method at the measured
-//! operating point — `ApproxAttentionOps::count_queries` with the *observed*
-//! candidate load for ELSA, `PooledAttentionOps::count` for the rival — so
-//! the frontier is accuracy versus FLOPs, not wall time.
+//! Compute is each method's `Rival::ops` at the measured operating point —
+//! `ApproxAttentionOps::count_queries` with the *observed* candidate load
+//! for ELSA, `PooledAttentionOps::count` for the rival — so the frontier is
+//! accuracy versus FLOPs, not wall time.
 
 use elsa_attention::exact::{self, AttentionInputs};
-use elsa_attention::flops::ApproxAttentionOps;
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_linalg::SeededRng;
-use elsa_pool::{PoolMode, PooledKvAttention};
+use elsa_sparse::cost::dense_attention_ops;
+use elsa_sparse::{PoolMode, PooledKvAttention, Rival};
 use elsa_workloads::longctx::{LongCtxKind, LONG_LENGTHS};
 use elsa_workloads::tasks::ndcg_at_k;
 
@@ -67,15 +67,6 @@ pub struct FrontierRow {
     pub points: Vec<RivalPoint>,
 }
 
-/// Exact rectangular attention operations: scores `2·n_q·n·d`, softmax
-/// `n_q·n`, weighted sum `2·n_q·n·d_v`.
-#[must_use]
-pub fn exact_rect_ops(n_queries: usize, n: usize, d: usize, d_v: usize) -> u64 {
-    let nq = n_queries as u64;
-    let n64 = n as u64;
-    2 * nq * n64 * d as u64 + nq * n64 + 2 * nq * n64 * d_v as u64
-}
-
 fn fidelity(reference: &elsa_linalg::Matrix, approx: &elsa_linalg::Matrix, inputs: &AttentionInputs) -> (f64, f64) {
     // `relative_frobenius_error` normalizes by `self`, so the reference
     // goes on the left: ‖ref − approx‖ / ‖ref‖.
@@ -101,43 +92,27 @@ pub fn frontier() -> Vec<FrontierRow> {
             let n_queries = test.num_queries();
             let d = test.dim();
             let reference = exact::attention(&test);
-            let exact_ops = exact_rect_ops(n_queries, n, d, test.value().cols());
-            let mut points = Vec::new();
+            let exact_ops = dense_attention_ops(n_queries, n, d, test.value().cols());
 
             let params = ElsaParams::for_dims(64, 64, &mut SeededRng::new(ZOO_SEED ^ 1));
-            for p in ELSA_P {
-                let operator = ElsaAttention::learn(params.clone(), &[train.clone()], p);
-                let (out, stats) = operator.forward(&test);
-                let (ndcg, frob) = fidelity(&reference, &out, &test);
-                let ops = ApproxAttentionOps::count_queries(
-                    n_queries,
-                    n,
-                    d,
-                    stats.avg_candidates_per_query(),
-                )
-                .total();
-                points.push(RivalPoint {
-                    label: format!("elsa p={p}"),
-                    ndcg,
-                    frobenius_error: frob,
-                    total_ops: ops,
-                    ops_vs_exact: ops as f64 / exact_ops as f64,
-                });
-            }
-
-            for (budget, mode) in POOL_POINTS {
+            let elsa = ELSA_P.iter().map(|&p| {
+                let operator = ElsaAttention::learn(params.clone(), std::slice::from_ref(&train), p);
+                (format!("elsa p={p}"), Box::new(operator) as Box<dyn Rival>)
+            });
+            let pooled = POOL_POINTS.iter().map(|&(budget, mode)| {
                 let pool = PooledKvAttention::new(budget, mode);
-                let (out, _) = pool.forward(&test);
-                let (ndcg, frob) = fidelity(&reference, &out, &test);
-                let ops = pool.ops(n_queries, n, d).total();
-                points.push(RivalPoint {
-                    label: pool.label(),
-                    ndcg,
-                    frobenius_error: frob,
-                    total_ops: ops,
-                    ops_vs_exact: ops as f64 / exact_ops as f64,
-                });
-            }
+                (pool.label(), Box::new(pool) as Box<dyn Rival>)
+            });
+            let points = elsa
+                .chain(pooled)
+                .map(|(label, rival)| {
+                    let (out, stats) = rival.forward(&test);
+                    let (ndcg, frobenius_error) = fidelity(&reference, &out, &test);
+                    let total_ops = rival.ops(&stats, d);
+                    let ops_vs_exact = total_ops as f64 / exact_ops as f64;
+                    RivalPoint { label, ndcg, frobenius_error, total_ops, ops_vs_exact }
+                })
+                .collect();
 
             rows.push(FrontierRow { family: kind.name(), n, n_queries, exact_ops, points });
         }
@@ -150,12 +125,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frontier_shape_and_determinism() {
-        // The full zoo is too heavy for a debug-build unit test; pin the
-        // structure on one small synthetic cell instead and leave the full
-        // run to the release-mode battery and bench binary.
-        let ops = exact_rect_ops(16, 8192, 64, 64);
-        assert_eq!(ops, 2 * 16 * 8192 * 64 + 16 * 8192 + 2 * 16 * 8192 * 64);
+    fn frontier_shape() {
+        // The full zoo is too heavy for a debug-build unit test; the full run
+        // is left to the release-mode battery and bench binary.
         assert_eq!(ELSA_P.len() + POOL_POINTS.len(), 6);
     }
 }

@@ -216,7 +216,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "elsa-fault",
     "elsa-linalg",
     "elsa-parallel",
-    "elsa-pool",
     "elsa-runtime",
     "elsa-serve",
     "elsa-sim",
@@ -229,10 +228,11 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 pub const ENTROPY_EXEMPT_CRATES: &[&str] = &["elsa-bench", "elsa-testkit"];
 
 /// Serving-path crates where P1 bans panicking constructs in non-test code.
-/// `elsa-pool` sits on the same comparison path as the serving stack, so it
-/// holds to the same policy (asserts on contract violations only).
+/// `elsa-sparse` (the rivals) sits on the same comparison path as the
+/// serving stack, so it holds to the same policy (asserts on contract
+/// violations only).
 pub const PANIC_POLICY_CRATES: &[&str] =
-    &["elsa-cluster", "elsa-pool", "elsa-runtime", "elsa-serve"];
+    &["elsa-cluster", "elsa-runtime", "elsa-serve", "elsa-sparse"];
 
 /// The approved homes for ordered float-reduction helpers: F1 does not
 /// apply inside them, because this is where the one blessed accumulation
@@ -248,12 +248,12 @@ pub const REDUCTION_HELPER_CRATES: &[&str] = &["elsa-linalg", "elsa-parallel"];
 pub const COST_MODEL_MODULES: &[(&str, &str)] = &[
     ("elsa-attention", "src/flops.rs"),
     ("elsa-cluster", "src/report.rs"),
-    ("elsa-pool", "src/cost.rs"),
     ("elsa-serve", "src/estimator.rs"),
+    ("elsa-sparse", "src/cost.rs"),
 ];
 
 /// Crates whose public panicking APIs must pair with `try_*` siblings (C1)
-/// and whose functions may not call hidden-panic helpers (P2). `elsa-pool`
+/// and whose functions may not call hidden-panic helpers (P2). `elsa-sparse`
 /// holds to P1 but predates the try-convention, so C1/P2 start with the
 /// three crates that established it (PR 3/4/8).
 pub const TRY_API_CRATES: &[&str] = &["elsa-cluster", "elsa-runtime", "elsa-serve"];

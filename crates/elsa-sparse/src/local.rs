@@ -7,7 +7,9 @@
 //! pattern is *static*: unlike ELSA it cannot find distant relevant keys,
 //! which is exactly the quality failure mode the comparison bench surfaces.
 
-use elsa_attention::exact::{self, AttentionInputs};
+use crate::cost::candidate_attention_ops;
+use crate::{attend, selection_stats, Rival};
+use elsa_attention::exact::AttentionInputs;
 use elsa_core::SelectionStats;
 use elsa_linalg::Matrix;
 
@@ -40,29 +42,16 @@ impl LocalAttention {
         Self { window, num_global }
     }
 
-    /// Window radius.
-    #[must_use]
-    pub const fn window(&self) -> usize {
-        self.window
-    }
-
-    /// The candidate set for query position `i` of `n` keys (sorted,
-    /// deduplicated; always contains `i` itself).
+    /// The candidate set for query position `i < n` of `n` keys (sorted,
+    /// deduplicated; always contains `i` itself): the globals `0..g`
+    /// followed by the window `[i − window, i + window]` clipped to the keys
+    /// not already covered.
     #[must_use]
     pub fn window_for(&self, i: usize, n: usize) -> Vec<usize> {
+        let g = self.num_global.min(n);
         let lo = i.saturating_sub(self.window);
         let hi = (i + self.window).min(n - 1);
-        let mut set: Vec<usize> = (0..self.num_global.min(n)).collect();
-        for j in lo..=hi {
-            if !set.contains(&j) {
-                set.push(j);
-            }
-        }
-        if !set.contains(&i) {
-            set.push(i);
-        }
-        set.sort_unstable();
-        set
+        (0..g).chain(lo.max(g)..=hi).collect()
     }
 
     /// Candidate sets for a whole invocation.
@@ -72,36 +61,26 @@ impl LocalAttention {
         let nq = inputs.num_queries();
         let candidates: Vec<Vec<usize>> = (0..nq).map(|i| self.window_for(i.min(n - 1), n)).collect();
         let selected = candidates.iter().map(Vec::len).sum();
-        (
-            candidates,
-            SelectionStats {
-                total_pairs: nq * n,
-                selected_pairs: selected,
-                num_queries: nq,
-                num_keys: n,
-                fallback_queries: 0,
-            },
-        )
+        (candidates, selection_stats(nq, n, selected))
+    }
+}
+
+impl Rival for LocalAttention {
+    /// Exact attention over the static pattern.
+    fn forward(&self, inputs: &AttentionInputs) -> (Matrix, SelectionStats) {
+        attend(self.candidates(inputs), inputs)
     }
 
-    /// Forward pass (exact attention over the static pattern).
-    #[must_use]
-    pub fn forward(&self, inputs: &AttentionInputs) -> (Matrix, SelectionStats) {
-        let (cands, stats) = self.candidates(inputs);
-        (exact::attention_with_candidates(inputs, &cands, 1.0), stats)
-    }
-
-    /// Arithmetic operations: `4·c̄·n·d` with `c̄ ≈ 2·window + globals`.
-    #[must_use]
-    pub fn ops_count(&self, n: usize, d: usize) -> u64 {
-        let c = (2 * self.window + 1 + self.num_global).min(n) as u64;
-        4 * c * (n as u64) * (d as u64)
+    /// `2·d` per attended pair.
+    fn ops(&self, stats: &SelectionStats, d: usize) -> u64 {
+        candidate_attention_ops(stats.selected_pairs, d)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elsa_attention::exact;
     use elsa_linalg::SeededRng;
 
     fn random_inputs(n: usize, d: usize, seed: u64) -> AttentionInputs {
@@ -177,9 +156,44 @@ mod tests {
     }
 
     #[test]
-    fn ops_count_linear_in_n() {
+    fn ops_linear_in_n() {
         let local = LocalAttention::new(16, 2);
-        assert_eq!(local.ops_count(512, 64) * 2, local.ops_count(1024, 64));
+        let ops = |n| {
+            let (_, stats) = local.candidates(&random_inputs(n, 4, 5));
+            local.ops(&stats, 64)
+        };
+        // Only queries near either end see a clipped window, so the count is
+        // affine in n with slope 2·(2w + 1 + globals)·d per query.
+        assert_eq!(ops(1024) - ops(512), 512 * 2 * (2 * 16 + 1 + 2) * 64);
+    }
+
+    #[test]
+    fn window_matches_brute_force_set() {
+        // Exhaustive over small shapes, seeded draws over larger ones: the
+        // union construction equals the filtered key range.
+        let brute = |i: usize, n: usize, w: usize, g: usize| -> Vec<usize> {
+            (0..n).filter(|&j| j < g || j.abs_diff(i) <= w).collect()
+        };
+        let check = |i: usize, n: usize, w: usize, g: usize| {
+            let got = LocalAttention::new(w, g).window_for(i, n);
+            assert_eq!(got, brute(i, n, w, g), "i={i} n={n} window={w} globals={g}");
+        };
+        for n in 1..=20 {
+            for w in 0..=6 {
+                for g in usize::from(w == 0)..=22 {
+                    for i in 0..n {
+                        check(i, n, w, g);
+                    }
+                }
+            }
+        }
+        let mut rng = SeededRng::new(17);
+        for _ in 0..500 {
+            let n = 1 + rng.index(4096);
+            let w = rng.index(300);
+            let g = usize::from(w == 0) + rng.index(300);
+            check(rng.index(n), n, w, g);
+        }
     }
 
     #[test]

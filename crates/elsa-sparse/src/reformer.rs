@@ -8,7 +8,9 @@
 //! specialized selection pipeline avoids, which is exactly the paper's §V-E
 //! argument. [`LshAttention::wall_clock_model_s`] quantifies it.
 
-use elsa_attention::exact::{self, AttentionInputs};
+use crate::cost::{candidate_attention_ops, lsh_hash_ops};
+use crate::{attend, selection_stats, Rival};
+use elsa_attention::exact::AttentionInputs;
 use elsa_core::hashing::SrpHasher;
 use elsa_core::SelectionStats;
 use elsa_linalg::{Matrix, SeededRng};
@@ -33,7 +35,7 @@ impl Default for LshAttentionConfig {
 /// # Examples
 ///
 /// ```
-/// use elsa_sparse::{LshAttention, LshAttentionConfig};
+/// use elsa_sparse::{LshAttention, LshAttentionConfig, Rival};
 /// use elsa_linalg::{Matrix, SeededRng};
 /// use elsa_attention::AttentionInputs;
 ///
@@ -65,12 +67,6 @@ impl LshAttention {
             .map(|_| SrpHasher::dense(config.bucket_bits, d, rng))
             .collect();
         Self { hashers, config }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub const fn config(&self) -> LshAttentionConfig {
-        self.config
     }
 
     /// Bucket id of a vector under round `r`.
@@ -127,45 +123,21 @@ impl LshAttention {
                 }
             }
         }
-        let mut stats = SelectionStats {
-            total_pairs: nq * n,
-            num_queries: nq,
-            num_keys: n,
-            ..SelectionStats::default()
-        };
+        let mut fallback_queries = 0;
         let candidates: Vec<Vec<usize>> = sets
             .into_iter()
             .enumerate()
             .map(|(i, set)| {
                 if set.is_empty() {
-                    stats.fallback_queries += 1;
+                    fallback_queries += 1;
                     vec![i.min(n - 1)]
                 } else {
                     set.into_iter().collect()
                 }
             })
             .collect();
-        stats.selected_pairs = candidates.iter().map(Vec::len).sum();
-        (candidates, stats)
-    }
-
-    /// Full forward pass: bucket, union, exact attention over candidates.
-    #[must_use]
-    pub fn forward(&self, inputs: &AttentionInputs) -> (Matrix, SelectionStats) {
-        let (cands, stats) = self.candidates(inputs);
-        (exact::attention_with_candidates(inputs, &cands, 1.0), stats)
-    }
-
-    /// Arithmetic operations of the scheme: hashing (`2·n·bits·d` MACs per
-    /// round for queries + keys) plus candidate attention (`4·c̄·n·d`).
-    #[must_use]
-    pub fn ops_count(&self, n: usize, d: usize, avg_candidates: f64) -> u64 {
-        let hash = 2 * 2 * (n as u64)
-            * (self.config.bucket_bits as u64)
-            * (d as u64)
-            * (self.config.rounds as u64);
-        let attn = (4.0 * avg_candidates * n as f64 * d as f64).round() as u64;
-        hash + attn
+        let selected = candidates.iter().map(Vec::len).sum();
+        (candidates, SelectionStats { fallback_queries, ..selection_stats(nq, n, selected) })
     }
 
     /// Modeled wall-clock on commercial hardware (GPU-class, 14 TFLOPS):
@@ -188,9 +160,25 @@ impl LshAttention {
     }
 }
 
+impl Rival for LshAttention {
+    /// Bucket, union, exact attention over candidates.
+    fn forward(&self, inputs: &AttentionInputs) -> (Matrix, SelectionStats) {
+        attend(self.candidates(inputs), inputs)
+    }
+
+    /// Bucketing (`2·bits·d` per query and key per round) plus `2·d` per
+    /// attended pair.
+    fn ops(&self, stats: &SelectionStats, d: usize) -> u64 {
+        let LshAttentionConfig { bucket_bits, rounds } = self.config;
+        lsh_hash_ops(stats.num_queries, stats.num_keys, bucket_bits, d, rounds)
+            .saturating_add(candidate_attention_ops(stats.selected_pairs, d))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elsa_attention::exact;
     use elsa_baselines::GpuModel;
 
     fn clustered_inputs(n: usize, d: usize, seed: u64) -> AttentionInputs {
@@ -294,6 +282,16 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(stats_a, stats_b);
         assert!(a.iter().all(|set| set.windows(2).all(|w| w[0] < w[1])), "unsorted candidates");
+    }
+
+    #[test]
+    fn ops_charge_bucketing_plus_attended_pairs() {
+        let mut rng = SeededRng::new(13);
+        let lsh = LshAttention::new(32, LshAttentionConfig { bucket_bits: 4, rounds: 2 }, &mut rng);
+        let inputs = clustered_inputs(64, 32, 14);
+        let (_, stats) = lsh.forward(&inputs);
+        let attended = 2 * stats.selected_pairs as u64 * 32;
+        assert_eq!(lsh.ops(&stats, 32), 2 * (64 + 64) * 4 * 32 * 2 + attended);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! that failure: each query attends only to keys inside its own fixed-size
 //! segment.
 
-use elsa_attention::exact::{self, AttentionInputs};
+use crate::cost::candidate_attention_ops;
+use crate::{attend, selection_stats, Rival};
+use elsa_attention::exact::AttentionInputs;
 use elsa_core::SelectionStats;
 use elsa_linalg::Matrix;
 
@@ -40,12 +42,6 @@ impl SegmentedAttention {
         Self { segment_len }
     }
 
-    /// Segment length.
-    #[must_use]
-    pub const fn segment_len(&self) -> usize {
-        self.segment_len
-    }
-
     /// Which segment position `i` belongs to.
     #[must_use]
     pub const fn segment_of(&self, i: usize) -> usize {
@@ -71,40 +67,28 @@ impl SegmentedAttention {
             })
             .collect();
         let selected = candidates.iter().map(Vec::len).sum();
-        (
-            candidates,
-            SelectionStats {
-                total_pairs: nq * n,
-                selected_pairs: selected,
-                num_queries: nq,
-                num_keys: n,
-                fallback_queries: 0,
-            },
-        )
+        (candidates, selection_stats(nq, n, selected))
+    }
+}
+
+impl Rival for SegmentedAttention {
+    /// Exact attention within each segment.
+    fn forward(&self, inputs: &AttentionInputs) -> (Matrix, SelectionStats) {
+        attend(self.candidates(inputs), inputs)
     }
 
-    /// Forward pass (exact attention within each segment).
-    #[must_use]
-    pub fn forward(&self, inputs: &AttentionInputs) -> (Matrix, SelectionStats) {
-        let (cands, stats) = self.candidates(inputs);
-        (exact::attention_with_candidates(inputs, &cands, 1.0), stats)
-    }
-
-    /// MAC count: segments of length `L` cost `Σ 2·L_s²·d ≈ 2·n·L·d` —
-    /// linear in `n` instead of quadratic, which is why the workaround is
-    /// popular despite its blindness.
-    #[must_use]
-    pub fn ops_count(&self, n: usize, d: usize) -> u64 {
-        let full = n / self.segment_len;
-        let rem = n % self.segment_len;
-        let l = self.segment_len as u64;
-        2 * (full as u64 * l * l + (rem as u64) * (rem as u64)) * d as u64
+    /// `2·d` per attended pair: segments of length `L` attend `Σ L_s² ≈ n·L`
+    /// pairs — linear in `n` instead of quadratic, which is why the
+    /// workaround is popular despite its blindness.
+    fn ops(&self, stats: &SelectionStats, d: usize) -> u64 {
+        candidate_attention_ops(stats.selected_pairs, d)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elsa_attention::exact;
     use elsa_linalg::SeededRng;
 
     #[test]
@@ -178,9 +162,14 @@ mod tests {
     #[test]
     fn ops_linear_in_n() {
         let seg = SegmentedAttention::new(128);
-        let a = seg.ops_count(512, 64);
-        let b = seg.ops_count(1024, 64);
-        assert_eq!(b, 2 * a);
+        let ops = |n| {
+            let m = Matrix::zeros(n, 4);
+            let (_, stats) = seg.candidates(&AttentionInputs::new(m.clone(), m.clone(), m));
+            seg.ops(&stats, 64)
+        };
+        assert_eq!(ops(1024), 2 * ops(512));
+        // Σ 2·L_s²·d over the four full 128-token segments of n = 512.
+        assert_eq!(ops(512), 2 * 4 * 128 * 128 * 64);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 # 2. workspace-wide unit tests, run twice — pinned to one worker thread and
 #    to four — so the deterministic-parallelism contract (bit-identical
 #    results at any worker count; see crates/elsa-parallel) is exercised on
-#    every gate run, plus bench smoke runs and a one-second run of each
-#    host-benchmark workload (BENCHMARK.json's command) at its pinned seed
+#    every gate run, plus byte-for-byte diffs of the pinned BENCH_*.json
+#    artifacts and rival tables, bench smoke runs and a one-second run of
+#    each host-benchmark workload (BENCHMARK.json's command) at its pinned
+#    seed
 # 3. static analysis: `elsa-lint` (in-tree, zero-dependency) scans every .rs
 #    file and Cargo.toml and enforces the determinism, reduction-order,
 #    arithmetic-headroom, panic-policy/pairing/reachability, and
@@ -120,6 +122,20 @@ echo "==> long-context regression (bench_longctx vs committed BENCH_longctx.json
 # read no clocks and no host state, so the JSON reproduces byte-for-byte.
 cargo run -q --release --offline -p elsa-bench --bin bench_longctx | diff - BENCH_longctx.json \
   || { echo "FAIL: bench_longctx output diverged from committed BENCH_longctx.json"; exit 1; }
+
+echo "==> rival tables (cmp_software_sparse, cmp_segmentation vs results/, default, ELSA_THREADS=1 and 4)"
+# The §V-E and §I rival comparisons run every rival through the one
+# `elsa_sparse::Rival` interface from pinned seeds; their tables must
+# reproduce the committed captures byte-for-byte at any worker count.
+for bin in cmp_software_sparse cmp_segmentation; do
+  cargo run -q --release --offline -p elsa-bench --bin "$bin" | diff - "results/$bin.txt" \
+    || { echo "FAIL: $bin output diverged from results/$bin.txt"; exit 1; }
+  for threads in 1 4; do
+    ELSA_THREADS=$threads cargo run -q --release --offline -p elsa-bench --bin "$bin" \
+      | diff - "results/$bin.txt" \
+      || { echo "FAIL: $bin at ELSA_THREADS=$threads diverged from results/$bin.txt"; exit 1; }
+  done
+done
 
 echo "==> host benchmark (BENCHMARK.json command, every workload, seed 42)"
 # The host-clock benchmark in .hostbench/ drives the public serving and

@@ -18,8 +18,7 @@
 //! | [`algorithm`] | the ELSA approximation (hashing, thresholds, operator) |
 //! | [`sim`] | cycle/functional/energy simulation of the accelerator |
 //! | [`baselines`] | GPU / ideal / A³ / TPU cost models |
-//! | [`sparse`] | software sparse-attention baselines (LSH, local windows) |
-//! | [`pool`] | pooled-KV rival approximation (adaptive K/V compression) |
+//! | [`sparse`] | the rivals behind one `Rival` trait: LSH, local, segmented, pooled-KV |
 //! | [`fault`] | deterministic fault injection: seeded chaos plans, health tracking |
 //! | [`runtime`] | host integration: thresholds, batch scheduling, the reference FIFO server |
 //! | [`serve`] | online serving: virtual-clock queueing, dynamic batching, SLO shedding |
@@ -62,9 +61,7 @@ pub use elsa_linalg as linalg;
 pub use elsa_parallel as parallel;
 /// Datapath number formats (re-export of `elsa-numeric`).
 pub use elsa_numeric as numeric;
-/// Pooled-KV rival approximation (re-export of `elsa-pool`).
-pub use elsa_pool as pool;
-/// Software sparse-attention baselines (re-export of `elsa-sparse`).
+/// Rival approximations behind one trait (re-export of `elsa-sparse`).
 pub use elsa_sparse as sparse;
 /// Host-integration runtime (re-export of `elsa-runtime`).
 pub use elsa_runtime as runtime;

@@ -24,10 +24,10 @@
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
 use elsa::linalg::{Matrix, SeededRng};
 use elsa::parallel::with_threads;
-use elsa::pool::{PoolMode, PooledKvAttention};
 use elsa::serve::skew::compare_batching;
 use elsa::serve::{BatchPolicy, ServiceEstimator};
 use elsa::sim::AcceleratorConfig;
+use elsa::sparse::{PoolMode, PooledKvAttention, Rival};
 use elsa::workloads::longctx::{zoo, LengthMix, LongCtxKind, LONG_LENGTHS};
 use elsa::workloads::WorkloadTrace;
 use elsa_testkit::prelude::*;
@@ -97,19 +97,19 @@ props! {
         for mode in [PoolMode::Average, PoolMode::Max] {
             let exact_pool = PooledKvAttention::new(n, mode);
             let (full, stats) = exact_pool.forward(&inputs);
-            prop_assert_eq!(stats.pooled, n);
+            prop_assert_eq!(stats.selected_pairs, n_q * n);
             prop_assert_eq!(
                 bits(&full),
                 bits(&elsa::attention::exact::attention(&inputs)),
                 "budget=n must be exact, mode {:?}", mode
             );
             let pool = PooledKvAttention::new(budget, mode);
-            let reference = with_threads(1, || pool.forward(&inputs).0);
+            let (reference, pooled_stats) = with_threads(1, || pool.forward(&inputs));
             for workers in THREAD_COUNTS {
                 let out = with_threads(workers, || pool.forward(&inputs).0);
                 prop_assert_eq!(bits(&reference), bits(&out), "threads={}", workers);
             }
-            prop_assert!(pool.ops(n_q, n, 32).total() < exact_pool.ops(n_q, n, 32).total());
+            prop_assert!(pool.ops(&pooled_stats, 32) < exact_pool.ops(&stats, 32));
         }
     }
 }

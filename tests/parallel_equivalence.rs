@@ -18,6 +18,10 @@ use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
 use elsa::algorithm::SrpHasher;
 use elsa::linalg::{Matrix, SeededRng};
 use elsa::parallel::with_threads;
+use elsa::sparse::{
+    LocalAttention, LshAttention, LshAttentionConfig, PoolMode, PooledKvAttention, Rival,
+    SegmentedAttention,
+};
 use elsa_testkit::prelude::*;
 
 /// The worker counts the battery sweeps: serial plus three parallel widths.
@@ -130,5 +134,42 @@ props! {
             with_threads(WORKER_COUNTS[widx], || elsa.forward(&inputs));
         prop_assert_eq!(bits(&serial_out), bits(&par_out));
         prop_assert_eq!(serial_stats, par_stats);
+    }
+}
+
+/// Every rival replays bit-identically at every worker count. At
+/// `n = n_q = 256`, `d = 64` and 4 bucket bits, LSH hashes
+/// `(n + n_q)·bits·d = 131,072` multiplies per round, twice
+/// `MIN_PARALLEL_WORK`, so its bucketing takes the fan-out path.
+#[test]
+fn every_rival_replays_bit_identically_across_worker_counts() {
+    let (n, d) = (256, 64);
+    let mut rng = SeededRng::new(0x0512_A15);
+    let inputs = AttentionInputs::new(
+        random_matrix(n, d, &mut rng),
+        random_matrix(n, d, &mut rng),
+        random_matrix(n, d, &mut rng),
+    );
+    let elsa = ElsaAttention::with_threshold(ElsaParams::for_dims(d, d, &mut rng), 0.3);
+    let lsh = LshAttention::new(d, LshAttentionConfig { bucket_bits: 4, rounds: 2 }, &mut rng);
+    let rivals: [(&str, &dyn Rival); 6] = [
+        ("elsa", &elsa),
+        ("lsh", &lsh),
+        ("local", &LocalAttention::new(16, 2)),
+        ("segmented", &SegmentedAttention::new(64)),
+        ("pooled-avg", &PooledKvAttention::new(32, PoolMode::Average)),
+        ("pooled-max", &PooledKvAttention::new(32, PoolMode::Max)),
+    ];
+    for (name, rival) in rivals {
+        let (serial_out, serial_stats) = with_threads(1, || rival.forward(&inputs));
+        assert_eq!(serial_stats.num_queries, n, "{name}");
+        assert_eq!(serial_stats.num_keys, n, "{name}");
+        assert_eq!(serial_stats.total_pairs, n * n, "{name}");
+        assert!(serial_stats.selected_pairs <= serial_stats.total_pairs, "{name}");
+        for workers in WORKER_COUNTS {
+            let (out, stats) = with_threads(workers, || rival.forward(&inputs));
+            assert_eq!(bits(&serial_out), bits(&out), "{name} threads={workers}");
+            assert_eq!(serial_stats, stats, "{name} threads={workers}");
+        }
     }
 }
