@@ -58,14 +58,12 @@
 pub mod attention;
 pub mod calibration;
 pub mod hashing;
-pub mod sanity;
 pub mod session;
 pub mod similarity;
 pub mod threshold;
 
 pub use attention::{ElsaAttention, ElsaParams, SelectionStats};
 pub use hashing::{BinaryHash, SrpHasher};
-pub use sanity::{check_candidates, first_non_finite, CandidateFault};
 pub use session::{ElsaSession, StreamingSession};
 pub use threshold::ThresholdLearner;
 

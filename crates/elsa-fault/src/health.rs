@@ -91,12 +91,6 @@ impl HealthTracker {
         (0..self.units()).filter(|&u| self.is_available(u)).collect()
     }
 
-    /// Per-unit availability mask (for scheduler rebalancing).
-    #[must_use]
-    pub fn availability_mask(&self) -> Vec<bool> {
-        (0..self.units()).map(|u| self.is_available(u)).collect()
-    }
-
     /// Number of units that may receive new work.
     #[must_use]
     pub fn num_available(&self) -> usize {
@@ -209,7 +203,6 @@ mod tests {
         h.reinstate(1);
         assert!(!h.is_available(1));
         assert_eq!(h.available_units(), vec![0, 2]);
-        assert_eq!(h.availability_mask(), vec![true, false, true]);
         assert_eq!(h.num_available(), 2);
     }
 

@@ -1,29 +1,22 @@
-//! Deterministic fault injection for the ELSA accelerator pool.
+//! Deterministic fault decisions for the ELSA accelerator pool.
 //!
 //! The paper's deployment (§IV-D) is a set of twelve replicated ELSA
 //! accelerators serving variable-length attention traffic. Replicated pools
 //! at production scale mean dead units, transient job errors, stragglers,
 //! and — because the datapath trades the exact softmax for LUT
-//! approximations — numeric faults (NaN/∞/saturated values) that must be
-//! detected and contained rather than silently served. This crate models
-//! all of those failure modes *deterministically*, so chaos tests are
-//! replayable bit-for-bit:
+//! approximations — numerically corrupted results (NaN/∞/saturated values)
+//! that must be detected and contained rather than silently served. This
+//! crate decides *where* each of those faults strikes, deterministically, so
+//! chaos tests are replayable bit-for-bit; the serving engine in
+//! `elsa-serve` acts on the decisions:
 //!
 //! * [`FaultPlan`] / [`FaultRates`] — a seeded plan mapping every fault
 //!   site (`unit`, `request`, `attempt`) to a decision via the
 //!   `elsa-testkit` PRNG. Decisions are pure functions of the site labels,
 //!   never of evaluation order, so results are identical at any
-//!   `ELSA_THREADS`, and a failure replays exactly under the reported
-//!   `ELSA_TESTKIT_SEED` (see [`FaultPlan::from_env`]).
-//! * [`inject`] — applies a planned [`CorruptionKind`] to a finished run:
-//!   NaN / ±∞ / saturated-fixed poison in the output matrix, or a wiped
-//!   candidate set (a corrupted hash signature). The
-//!   [`SATURATION_LIMIT`] sentinel defines the single guard predicate
-//!   (`!(v.abs() < SATURATION_LIMIT)`) that catches every value-level kind.
-//! * [`FaultyAccelerator`] — wraps one [`elsa_sim::ElsaAccelerator`] unit:
-//!   dead units and transient errors surface as typed [`FaultEvent`]s,
-//!   corrupted results are returned exactly as faulty silicon would serve
-//!   them (detection is the serving guard's job, in `elsa-serve`).
+//!   `ELSA_THREADS`, and a failure replays exactly from the plan's seed.
+//!   [`FaultPlan::corrupts`] marks a result corrupted; the engine treats it
+//!   like a numeric-guard trip and degrades the request to exact attention.
 //! * [`HealthTracker`] — quarantines units after repeated faults so a
 //!   dispatcher can rebalance over the survivors; [`HealthSnapshot`] is
 //!   its read-only view for outside observers (routers, reports).
@@ -40,14 +33,10 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod accelerator;
 pub mod health;
-pub mod inject;
 pub mod node;
 pub mod plan;
 
-pub use accelerator::{FaultEvent, FaultyAccelerator, FaultyRun};
 pub use health::{HealthSnapshot, HealthTracker};
-pub use inject::SATURATION_LIMIT;
 pub use node::{NodeFaultPlan, NodeFaultRates};
-pub use plan::{CorruptionKind, FaultPlan, FaultRates};
+pub use plan::{FaultPlan, FaultRates};

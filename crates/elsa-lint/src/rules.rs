@@ -740,7 +740,7 @@ fn apply_waivers(findings: &mut [Finding], waivers: &mut [Waiver]) {
     }
 }
 
-/// Cross-file variant of [`apply_waivers`] for model-rule findings, which
+/// Cross-file variant of `apply_waivers` for model-rule findings, which
 /// are produced workspace-wide rather than during a single file's scan: a
 /// waiver only covers a finding in its own file.
 pub fn apply_waivers_by_file(findings: &mut [Finding], waivers: &mut [Waiver]) {

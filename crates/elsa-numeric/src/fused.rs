@@ -173,8 +173,8 @@ impl LogDomainAdder {
     /// the interpolation error by `(16/128)/2 · 1/2 = 2^{−5}`; truncating
     /// the table at `d = 16` adds at most `log2(1 + 2^{−16})`. Total
     /// ≈ `0.03127` — a linear-domain relative error of `2^{0.03127} − 1`
-    /// ≈ 2.2% per add ([`worst_case_relative_error`]
-    /// (Self::worst_case_relative_error)).
+    /// ≈ 2.2% per add
+    /// ([`worst_case_relative_error`](Self::worst_case_relative_error)).
     #[must_use]
     pub fn worst_case_log2_error() -> f64 {
         let seg = LOG_ADD_SPAN / LOG_ADD_ENTRIES as f64;

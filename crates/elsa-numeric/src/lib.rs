@@ -55,12 +55,10 @@ pub mod adder_tree;
 pub mod cfloat;
 pub mod fixed;
 pub mod fused;
-pub mod guard;
 pub mod lut;
 
 pub use adder_tree::AdderTree;
 pub use cfloat::CustomFloat;
 pub use fixed::{Fixed, FixedSpec, HashFixed, QkvFixed};
 pub use fused::{ExpMultUnit, LogDomainAdder};
-pub use guard::{ensure_finite, NumericFault, SaturationCounter};
 pub use lut::{CosLut, ExpUnit, ReciprocalUnit, SqrtUnit};

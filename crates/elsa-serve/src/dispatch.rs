@@ -9,8 +9,8 @@
 //!    the offline `InferenceServer`, so the report is bit-identical at any
 //!    `ELSA_THREADS`.
 //! 2. **Admission**: arrivals enter the bounded
-//!    [`AdmissionQueue`]; a full queue triggers the configured
-//!    [`Backpressure`] policy.
+//!    [`AdmissionQueue`](crate::AdmissionQueue); a full queue triggers the
+//!    configured [`Backpressure`] policy.
 //! 3. **Batching**: a length bucket dispatches when it holds
 //!    `max_batch` requests or its oldest waiter has queued `max_wait_ns`.
 //! 4. **Dispatch**: each batch member routes to the accelerator unit that

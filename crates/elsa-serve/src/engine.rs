@@ -41,7 +41,7 @@
 //! request through its input lookup only to time a padded batch.
 
 use elsa_attention::exact::AttentionInputs;
-use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker, SATURATION_LIMIT};
+use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker};
 use elsa_linalg::reduce::sum_f64;
 use elsa_linalg::Matrix;
 use elsa_runtime::RuntimeError;
@@ -71,6 +71,13 @@ pub struct PreparedRequest {
     /// Whether the numeric guard tripped on the approximate result.
     pub trips: bool,
 }
+
+/// The saturation sentinel: the fixed-point accumulator's ceiling mapped
+/// into `f32`. A served attention output is a convex combination of value
+/// rows, so any element at or beyond this magnitude can only come from a
+/// saturated datapath — the serving guard treats it like a non-finite
+/// value.
+pub(crate) const SATURATION_LIMIT: f32 = f32::MAX;
 
 /// The numeric guard: a result is untrustworthy when a non-empty query set
 /// selected nothing (a corrupted hash signature) or any output value is
@@ -643,9 +650,7 @@ impl<'a> NodeEngine<'a> {
             }
             self.health.record_success(unit);
             let prepared = &self.prepared[request.id];
-            let (service_s, degraded) = if prepared.trips
-                || self.plan.corruption(unit, request.id).is_some()
-            {
+            let (service_s, degraded) = if prepared.trips || self.plan.corrupts(unit, request.id) {
                 // Degrade to exact attention: charge the base-mode cycle
                 // model, the same cycles `run_base_streaming` reports.
                 let config = self.accel.config();
@@ -700,10 +705,44 @@ impl<'a> NodeEngine<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::PreparedRequest;
+    use super::{guard_trips, AcceleratorConfig, ElsaAccelerator, Matrix, PreparedRequest};
+    use elsa_core::attention::{ElsaAttention, ElsaParams};
+    use elsa_linalg::SeededRng;
+    use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
     #[test]
     fn a_service_profile_is_a_few_scalars() {
         assert!(std::mem::size_of::<PreparedRequest>() <= 40);
+    }
+
+    /// A corrupted result is modelled as one the guard catches, so every
+    /// poison class must trip `guard_trips` on a real accelerator report.
+    #[test]
+    fn guard_trips_on_every_poison_class_and_nothing_else() {
+        let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
+        let inputs = workload.generate_batch(1, &mut SeededRng::new(3));
+        let params = ElsaParams::for_dims(64, 64, &mut SeededRng::new(4));
+        let operator = ElsaAttention::learn(params, &inputs, 1.0);
+        let config = AcceleratorConfig { n_max: 200, ..AcceleratorConfig::paper() };
+        let clean = ElsaAccelerator::new(config, operator).run(&inputs[0]);
+        assert!(clean.stats.num_queries > 0 && clean.stats.selected_pairs > 0);
+        assert!(!guard_trips(&clean), "an unmodified report must pass");
+
+        let last = (clean.output.rows() - 1, clean.output.cols() - 1);
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX] {
+            let mut report = clean.clone();
+            report.output[last] = poison;
+            assert!(guard_trips(&report), "output value {poison} evades the guard");
+        }
+
+        let mut empty_candidates = clean.clone();
+        empty_candidates.stats.selected_pairs = 0;
+        assert!(guard_trips(&empty_candidates), "an empty candidate set evades the guard");
+
+        let mut no_queries = clean;
+        no_queries.output = Matrix::zeros(0, no_queries.output.cols());
+        no_queries.stats.num_queries = 0;
+        no_queries.stats.selected_pairs = 0;
+        assert!(!guard_trips(&no_queries), "an empty query set selects nothing legitimately");
     }
 }

@@ -1,7 +1,7 @@
 //! Multi-turn session traces and the decode KV/hash cache model.
 //!
 //! A [`SessionTrace`] is the decode analogue of an
-//! [`ArrivalTrace`](crate::arrival::ArrivalTrace): every arrival is the
+//! [`ArrivalTrace`]: every arrival is the
 //! *next turn* of a live session (a prompt prefill or a single-token decode
 //! step), generated by interleaving the turn schedules of
 //! [`elsa_workloads::sessions`] specs under Poisson arrivals with seeded

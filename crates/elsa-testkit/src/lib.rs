@@ -14,7 +14,7 @@
 //!   generators (ranges, vectors, subsets, matrices, tuples), seeded case
 //!   generation, greedy shrinking, and failure reports that include the
 //!   reproducing seed. Entry points: the [`props!`] macro or [`prop::check`].
-//! * [`bench`] — a micro-benchmark harness for `harness = false` bench
+//! * [`bench`](mod@bench) — a micro-benchmark harness for `harness = false` bench
 //!   targets: warmup, timed samples, min/median/p95 reporting, compatible
 //!   with `cargo bench` (measures) and `cargo test --benches` (smoke-runs).
 //!

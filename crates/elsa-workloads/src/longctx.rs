@@ -16,8 +16,9 @@
 //!   mass skewed into one relevant passage ([`TargetStructure::Passage`]).
 //!
 //! Both families produce ordinary [`WorkloadTrace`]s, so the whole existing
-//! stack — `ElsaAttention::forward`, the pooled-KV rival in `elsa-pool`,
-//! serving arrival generators — replays them bit-identically from text.
+//! stack — `ElsaAttention::forward`, the pooled-KV rival in
+//! `elsa_sparse::pool`, serving arrival generators — replays them
+//! bit-identically from text.
 //!
 //! [`LengthMix`] models the serving-side counterpart: weighted length
 //! distributions whose extremes (66 real tokens next to 64k) stress

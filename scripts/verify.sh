@@ -9,13 +9,14 @@
 #    artifacts and rival tables, bench smoke runs and a one-second run of
 #    each host-benchmark workload (BENCHMARK.json's command) at its pinned
 #    seed
-# 3. static analysis: `elsa-lint` (in-tree, zero-dependency) scans every .rs
+# 3. rustdoc with warnings denied, so stale intra-doc links fail the gate
+# 4. static analysis: `elsa-lint` (in-tree, zero-dependency) scans every .rs
 #    file and Cargo.toml and enforces the determinism, reduction-order,
 #    arithmetic-headroom, panic-policy/pairing/reachability, and
 #    unsafe-hygiene contracts; any unwaived finding, over-budget rule, or
 #    stale waiver fails the gate, and the machine-readable report must match
 #    the committed results/lint_report.json byte-for-byte.
-# 4. dependency guard: every [dependencies]/[dev-dependencies] entry in every
+# 5. dependency guard: every [dependencies]/[dev-dependencies] entry in every
 #    Cargo.toml must be an in-tree path dependency (directly or via
 #    workspace = true); anything resolving to crates.io fails the gate. This
 #    is elsa-lint's O1 rule — no external interpreter required.
@@ -150,6 +151,11 @@ done
 
 echo "==> bench smoke runs (each benchmark body once)"
 cargo test -q --offline --workspace --benches
+
+echo "==> rustdoc (every crate, warnings denied)"
+# Broken or ambiguous intra-doc links fail the gate, so a doc comment that
+# still links to a deleted or private item is caught when the item goes.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> static analysis (elsa-lint, strict waivers)"
 # All rules: nondeterminism (D1), hash-collections (D2), threads-env (D3),

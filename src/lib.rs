@@ -19,7 +19,7 @@
 //! | [`sim`] | cycle/functional/energy simulation of the accelerator |
 //! | [`baselines`] | GPU / ideal / A³ / TPU cost models |
 //! | [`sparse`] | the rivals behind one `Rival` trait: LSH, local, segmented, pooled-KV |
-//! | [`fault`] | deterministic fault injection: seeded chaos plans, health tracking |
+//! | [`fault`] | deterministic fault decisions: seeded chaos plans, health tracking |
 //! | [`runtime`] | host integration: thresholds, batch scheduling, the reference FIFO server |
 //! | [`serve`] | online serving: virtual-clock queueing, dynamic batching, SLO shedding |
 //! | [`cluster`] | fault-tolerant fleet serving: routing, failover, hedging, autoscaling |
@@ -53,7 +53,7 @@ pub use elsa_core as algorithm;
 pub use elsa_attention as attention;
 /// Baseline device models (re-export of `elsa-baselines`).
 pub use elsa_baselines as baselines;
-/// Deterministic fault injection (re-export of `elsa-fault`).
+/// Deterministic fault decisions (re-export of `elsa-fault`).
 pub use elsa_fault as fault;
 /// Linear algebra substrate (re-export of `elsa-linalg`).
 pub use elsa_linalg as linalg;

@@ -1,4 +1,4 @@
-//! Chaos battery for the fault-injection layer and fault-tolerant batch
+//! Chaos battery for the seeded fault plans and fault-tolerant batch
 //! serving (`OnlineServer::serve_batch` under immediate dispatch).
 //!
 //! Four promises are under test, per the fault-tolerance design:
@@ -10,8 +10,9 @@
 //! * **(b) Failover completes everything** — under injected unit death
 //!   with at least one survivor, every request completes, with no
 //!   duplicated or dropped `RequestRecord`s.
-//! * **(c) Corruption never escapes** — an injected NaN/∞/saturated value
-//!   or wiped candidate set always triggers the exact-attention fallback;
+//! * **(c) Corruption never escapes** — a result the plan marks corrupted
+//!   (a NaN/∞/saturated value or empty candidate set, the classes the
+//!   serving guard catches) always triggers the exact-attention fallback;
 //!   a NaN is never served.
 //! * **(d) One dispatch loop** — the batch path is the online pipeline: its
 //!   report equals `serve(&ArrivalTrace::simultaneous(..))` projected onto
@@ -179,7 +180,7 @@ props! {
             );
             let record = served.report.records[i];
             // The plan says which (unit, request) pairs were poisoned; the
-            // guard must have caught every one of them. The unit is whichever
+            // engine must have degraded every one of them. The unit is whichever
             // one the FIFO picked, so check the record tag instead: any
             // poisoned request is degraded, and degraded outputs are exactly
             // the base (exact-attention) run.
