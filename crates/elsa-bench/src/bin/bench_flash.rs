@@ -68,7 +68,7 @@ fn row(workload: &Workload, index: u64) -> Row {
     let n = test.num_keys();
 
     let approx = accel.run(&test);
-    let base = accel.run_base_streaming(&test);
+    let base = accel.run_base(&test);
     let model = FlashModel::paper();
     let ops = FlashAttentionOps::count(n, n, D, D, model.tile);
     // Single-tile flash IS the naive compute (no renormalization, no tile

@@ -18,12 +18,14 @@
 //!   cache affinity so failover pays the honest rebuild cost;
 //! * [`autoscale`] — queue-delay-percentile watermark autoscaling over the
 //!   provisioned node pool, with graceful drain;
-//! * [`trace`] — fleet-scale mixed-workload session traces over an
-//!   [`elsa_workloads::FleetMix`];
 //! * [`report`] — exact per-request accounting (`offered = served + shed +
 //!   timed-out + failed`, every request exactly once even under hedging
 //!   and node loss) plus per-node and router-level views and the SLO
 //!   attainment timeline the recovery experiments plot.
+//!
+//! The fleet replays any [`SessionTrace`](elsa_serve::SessionTrace); the
+//! weighted traffic mix a front-end sees comes from
+//! [`SessionTrace::generate_mixed`](elsa_serve::SessionTrace::generate_mixed).
 //!
 //! Determinism contract (audited by `tests/cluster_fault_tolerance.rs`):
 //! for a fixed trace, policy, and seeds the report is bit-identical at any
@@ -37,10 +39,8 @@ pub mod autoscale;
 pub mod cluster;
 pub mod report;
 pub mod router;
-pub mod trace;
 
 pub use autoscale::{AutoscaleConfig, ScaleEvent};
 pub use cluster::{Cluster, ClusterConfig};
 pub use report::{ClusterRecord, ClusterReport, NodeReport, RouterStats};
 pub use router::{HedgeConfig, RoutePolicy, Router};
-pub use trace::fleet_sessions;

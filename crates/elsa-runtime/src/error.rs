@@ -24,13 +24,6 @@ pub enum RuntimeError {
         /// Why it does not fit.
         source: FitError,
     },
-    /// A scheduler was asked to manage zero accelerators.
-    NoAccelerators,
-    /// A scheduler was given a negative per-job command overhead.
-    NegativeOverhead {
-        /// The offending overhead in seconds.
-        overhead_s: f64,
-    },
     /// Every accelerator in the pool is dead or quarantined; nothing can
     /// be dispatched.
     NoHealthyUnits,
@@ -52,10 +45,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Misfit(e) => write!(f, "{e}"),
             RuntimeError::Request { index, source } => {
                 write!(f, "request {index}: {source}")
-            }
-            RuntimeError::NoAccelerators => write!(f, "need at least one accelerator"),
-            RuntimeError::NegativeOverhead { overhead_s } => {
-                write!(f, "overhead cannot be negative (got {overhead_s})")
             }
             RuntimeError::NoHealthyUnits => {
                 write!(f, "no healthy accelerator units remain in the pool")
@@ -93,10 +82,6 @@ mod tests {
     fn display_keeps_legacy_panic_phrases() {
         // The panicking wrappers format these, so messages that
         // should_panic tests match on must survive.
-        assert!(RuntimeError::NoAccelerators.to_string().contains("at least one accelerator"));
-        assert!(RuntimeError::NegativeOverhead { overhead_s: -1.0 }
-            .to_string()
-            .contains("overhead cannot be negative"));
         let misfit = RuntimeError::from(FitError::RequestTooLarge { n: 9, n_max: 4 });
         assert!(misfit.to_string().contains("exceeds hardware n_max"));
     }

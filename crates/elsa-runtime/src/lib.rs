@@ -1,48 +1,37 @@
-//! Host-integration runtime for the ELSA accelerator (§IV-B, §V-C).
+//! Host-integration runtime for the ELSA accelerator (§III-E, §IV-B).
 //!
 //! The paper positions ELSA as "a specialized functional unit … which can be
 //! integrated with various computing devices such as CPUs, GPUs, and other
 //! NN accelerators": the host issues a command per self-attention invocation
-//! (passing Q/K/V by reference into scratchpad memory), twelve accelerators
-//! exploit batch-level parallelism, and the candidate-selection threshold is
-//! learned **per attention sub-layer** — 384 of them for BERT-large (§III-E).
+//! (passing Q/K/V by reference into scratchpad memory), replicated
+//! accelerators exploit batch-level parallelism, and the candidate-selection
+//! threshold is learned **per attention sub-layer** — 384 of them for
+//! BERT-large (§III-E).
 //!
 //! This crate is that integration layer:
 //!
-//! * [`thresholds`] — [`thresholds::ThresholdTable`]: one learned threshold
-//!   per (layer, head) sub-layer, trained from per-sublayer calibration
-//!   batches exactly as Fig. 6 describes;
-//! * [`scheduler`] — [`scheduler::BatchScheduler`]: assigns head-invocations
-//!   to accelerators (LPT or round-robin), including the per-command host
-//!   issue overhead, and reports the layer makespan;
 //! * [`quality`] — [`quality::DeepProxyModel`]: stacked transformer layers
-//!   whose attention runs exactly or through calibrated ELSA operators, so
-//!   accuracy can be measured at the top of a deep residual stack (the
-//!   paper's end-to-end protocol) instead of at a single layer;
-//! * [`offload`] — [`offload::ModelOffload`]: a whole-model driver that runs
-//!   every attention sub-layer of a transformer through the cycle-level
-//!   simulator and combines the result with the host-side (GPU) cost of the
-//!   non-attention work, yielding the end-to-end speedups of §V-C;
+//!   whose attention runs exactly or through ELSA operators calibrated one
+//!   threshold per sub-layer, so accuracy can be measured at the top of a
+//!   deep residual stack (the paper's end-to-end protocol) instead of at a
+//!   single layer;
 //! * [`serving`] — [`serving::InferenceServer`]: the fault-free FIFO fold
 //!   over the accelerator pool, kept as the reference every richer server
 //!   is tested against (fault-tolerant batches are served by
 //!   `elsa_serve::OnlineServer::serve_batch`);
 //! * [`error`] — [`error::RuntimeError`]: typed errors for everything a
 //!   caller can get wrong, so serving keeps running instead of panicking.
+//!
+//! The end-to-end speedup of §V-C (attention offloaded, the rest on the
+//! host) is the `end_to_end_speedup` experiment in `elsa-bench`.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod error;
-pub mod offload;
 pub mod quality;
-pub mod scheduler;
 pub mod serving;
-pub mod thresholds;
 
 pub use error::RuntimeError;
-pub use offload::{ModelOffload, ModelReport};
 pub use quality::DeepProxyModel;
 pub use serving::{InferenceServer, RequestRecord, ServingReport};
-pub use scheduler::{BatchScheduler, SchedulePolicy};
-pub use thresholds::ThresholdTable;

@@ -441,7 +441,7 @@ impl OnlineServer {
     /// The approximate pipeline runs once per request (fanned out exactly
     /// like [`serve`](Self::serve)); a degraded request's exact output is
     /// computed afterwards, once, through the tiled streaming kernel
-    /// (`ElsaAccelerator::run_base_streaming`, bit-identical to `run_base`
+    /// (`ElsaAccelerator::run_base`, bit-identical to naive exact attention
     /// with O(n) transient memory).
     ///
     /// # Errors
@@ -478,7 +478,7 @@ impl OnlineServer {
             .zip(requests)
             .map(|((record, output), inputs)| match (record.failed, record.degraded) {
                 (true, _) => None,
-                (false, true) => Some(self.accel.run_base_streaming(inputs).output),
+                (false, true) => Some(self.accel.run_base(inputs).output),
                 (false, false) => Some(output),
             })
             .collect();
@@ -994,7 +994,7 @@ mod tests {
             assert!(d.degraded);
             // The accounting-only engine charges the base cycle model: the
             // same seconds the streaming fallback run reports.
-            let base_s = accel.run_base_streaming(request).cycles.seconds(&cfg);
+            let base_s = accel.run_base(request).cycles.seconds(&cfg);
             assert_eq!(d.service_s.to_bits(), (c.service_s + base_s).to_bits());
         }
     }

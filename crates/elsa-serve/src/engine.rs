@@ -28,7 +28,7 @@
 //! The engine is accounting-only: it never produces a served output. A
 //! degraded request is charged the base-mode cycle model
 //! (`elsa_sim::cycle::simulate_execution_base`, exactly the cycles
-//! `ElsaAccelerator::run_base_streaming` reports), and a caller that needs
+//! `ElsaAccelerator::run_base` reports), and a caller that needs
 //! outputs builds them afterwards from the records (see
 //! [`OnlineServer::serve_batch`](crate::dispatch::OnlineServer::serve_batch)).
 //!
@@ -652,7 +652,7 @@ impl<'a> NodeEngine<'a> {
             let prepared = &self.prepared[request.id];
             let (service_s, degraded) = if prepared.trips || self.plan.corrupts(unit, request.id) {
                 // Degrade to exact attention: charge the base-mode cycle
-                // model, the same cycles `run_base_streaming` reports.
+                // model, the same cycles `run_base` reports.
                 let config = self.accel.config();
                 let base = simulate_execution_base(config, request.n_real, prepared.n_queries);
                 ((charged_service + base.seconds(config)) * slowdown, true)

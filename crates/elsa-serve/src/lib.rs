@@ -36,13 +36,13 @@
 //!   [`OnlineServer::serve_batch`] serves a batch that is already here —
 //!   every request at t = 0 — and returns the served outputs too.
 //! * [`session`] — multi-turn decode serving: replayable [`SessionTrace`]s
-//!   (each arrival is the next turn of a live session, with session
-//!   affinity in the batcher), plus the bounded decode cache — a
-//!   [`SessionRegistry`] accounting every session's incremental KV/hash
-//!   state against a capacity budget with deterministic LRU or SLO-aware
-//!   eviction. A cache hit is charged only the appended tokens'
-//!   preprocessing; an evicted session pays the full from-scratch rebuild
-//!   on its next turn.
+//!   over one workload or a weighted fleet mix (each arrival is the next
+//!   turn of a live session, with session affinity in the batcher), plus
+//!   the bounded decode cache — a [`SessionRegistry`] accounting every
+//!   session's incremental KV/hash state against a capacity budget with
+//!   deterministic LRU or SLO-aware eviction. A cache hit is charged only
+//!   the appended tokens' preprocessing; an evicted session pays the full
+//!   from-scratch rebuild on its next turn.
 //!
 //! Degenerate configurations collapse onto the offline baselines: an
 //! unbounded queue, batch size 1, and a simultaneous trace reproduce

@@ -6,9 +6,9 @@
 #    to four — so the deterministic-parallelism contract (bit-identical
 #    results at any worker count; see crates/elsa-parallel) is exercised on
 #    every gate run, plus byte-for-byte diffs of the pinned BENCH_*.json
-#    artifacts and rival tables, bench smoke runs and a one-second run of
-#    each host-benchmark workload (BENCHMARK.json's command) at its pinned
-#    seed
+#    artifacts and of every paper figure in results/, bench smoke runs and
+#    a one-second run of each host-benchmark workload (BENCHMARK.json's
+#    command) at its pinned seed
 # 3. rustdoc with warnings denied, so stale intra-doc links fail the gate
 # 4. static analysis: `elsa-lint` (in-tree, zero-dependency) scans every .rs
 #    file and Cargo.toml and enforces the determinism, reduction-order,
@@ -124,17 +124,24 @@ echo "==> long-context regression (bench_longctx vs committed BENCH_longctx.json
 cargo run -q --release --offline -p elsa-bench --bin bench_longctx | diff - BENCH_longctx.json \
   || { echo "FAIL: bench_longctx output diverged from committed BENCH_longctx.json"; exit 1; }
 
-echo "==> rival tables (cmp_software_sparse, cmp_segmentation vs results/, default, ELSA_THREADS=1 and 4)"
-# The §V-E and §I rival comparisons run every rival through the one
-# `elsa_sparse::Rival` interface from pinned seeds; their tables must
-# reproduce the committed captures byte-for-byte at any worker count.
-for bin in cmp_software_sparse cmp_segmentation; do
-  cargo run -q --release --offline -p elsa-bench --bin "$bin" | diff - "results/$bin.txt" \
-    || { echo "FAIL: $bin output diverged from results/$bin.txt"; exit 1; }
-  for threads in 1 4; do
-    ELSA_THREADS=$threads cargo run -q --release --offline -p elsa-bench --bin "$bin" \
-      | diff - "results/$bin.txt" \
-      || { echo "FAIL: $bin at ELSA_THREADS=$threads diverged from results/$bin.txt"; exit 1; }
+echo "==> paper figures (every results/<bin>.txt, default and ELSA_THREADS=1; rival tables also 4)"
+# Every experiment binary prints from pinned seeds, so each of the 25
+# committed captures must reproduce byte-for-byte at any worker count; a
+# bit-preserving rewrite of a kernel is checked against every paper
+# figure, not only the BENCH files. The §V-E and §I rival tables, which
+# run every rival through the one `elsa_sparse::Rival` interface, are also
+# run at four workers.
+for capture in results/*.txt; do
+  bin=$(basename "$capture" .txt)
+  case "$bin" in
+    cmp_software_sparse|cmp_segmentation) thread_counts=(default 1 4) ;;
+    *) thread_counts=(default 1) ;;
+  esac
+  for threads in "${thread_counts[@]}"; do
+    [ "$threads" = default ] && env_threads=() || env_threads=("ELSA_THREADS=$threads")
+    env "${env_threads[@]}" cargo run -q --release --offline -p elsa-bench --bin "$bin" \
+      | diff - "$capture" \
+      || { echo "FAIL: $bin (ELSA_THREADS=$threads) diverged from $capture"; exit 1; }
   done
 done
 

@@ -20,7 +20,7 @@
 //! | [`baselines`] | GPU / ideal / A³ / TPU cost models |
 //! | [`sparse`] | the rivals behind one `Rival` trait: LSH, local, segmented, pooled-KV |
 //! | [`fault`] | deterministic fault decisions: seeded chaos plans, health tracking |
-//! | [`runtime`] | host integration: thresholds, batch scheduling, the reference FIFO server |
+//! | [`runtime`] | host integration: per-sub-layer calibration of deep stacks, the reference FIFO server |
 //! | [`serve`] | online serving: virtual-clock queueing, dynamic batching, SLO shedding |
 //! | [`cluster`] | fault-tolerant fleet serving: routing, failover, hedging, autoscaling |
 //! | [`workloads`] | model zoo, synthetic datasets, proxy metrics |

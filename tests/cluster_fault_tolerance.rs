@@ -38,7 +38,6 @@ use std::sync::OnceLock;
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
 use elsa::cluster::{
     AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, HedgeConfig, RoutePolicy,
-    fleet_sessions,
 };
 use elsa::fault::{FaultPlan, FaultRates, NodeFaultPlan, NodeFaultRates};
 use elsa::linalg::SeededRng;
@@ -239,12 +238,10 @@ fn one_node_zero_fault_cluster_matches_the_single_node_server_bitwise() {
 
 // ---- (b) determinism under chaos, across threads and fleet shapes ----
 
-#[test]
-fn chaos_report_replays_bit_identically_across_worker_counts() {
-    // Everything at once: a mixed-workload trace, unit-level chaos forked
-    // per node, node deaths + stragglers + flapping, probes, hedging,
-    // autoscaling, and per-node decode caches.
-    let trace = fleet_sessions(
+/// The chaos battery's mixed-workload trace: 12 recommender sessions of at
+/// most three turns each, at 900k turns/s with a 100 µs SLO.
+fn chaos_trace() -> SessionTrace {
+    SessionTrace::generate_mixed(
         &rec_mix(),
         &SessionArrivalConfig {
             lambda_per_s: 900_000.0,
@@ -253,7 +250,71 @@ fn chaos_report_replays_bit_identically_across_worker_counts() {
             max_decode_turns: Some(2),
         },
         &mut SeededRng::new(0xC1A05),
-    );
+    )
+}
+
+#[test]
+fn chaos_trace_turn_sequence_is_pinned() {
+    // The mixed generator's exact output at this seed: a change to its
+    // stream forks, shape draws or interleaving shows up here first.
+    // Columns: (arrival_ns, session, prefix_len, appended, last_turn, n_real).
+    const EXPECTED: [(u64, u64, usize, usize, bool, usize); 36] = [
+        (341, 5, 121, 121, false, 200),
+        (1136, 11, 122, 122, false, 200),
+        (1231, 6, 113, 113, false, 200),
+        (1777, 1, 130, 130, false, 200),
+        (1876, 4, 102, 102, false, 109),
+        (2012, 2, 2, 2, false, 54),
+        (2473, 9, 128, 128, false, 150),
+        (3113, 0, 93, 93, false, 116),
+        (3537, 0, 94, 1, false, 116),
+        (4711, 1, 131, 1, false, 200),
+        (4761, 8, 175, 175, false, 200),
+        (4985, 1, 132, 1, true, 200),
+        (8053, 8, 176, 1, false, 200),
+        (8087, 11, 123, 1, false, 200),
+        (8837, 6, 114, 1, false, 200),
+        (10541, 7, 5, 5, false, 43),
+        (11764, 8, 177, 1, true, 200),
+        (12659, 4, 103, 1, false, 109),
+        (14589, 6, 115, 1, true, 200),
+        (17578, 5, 122, 1, false, 200),
+        (18072, 10, 45, 45, false, 71),
+        (18088, 4, 104, 1, true, 109),
+        (18891, 0, 95, 1, true, 116),
+        (20172, 3, 32, 32, false, 57),
+        (20237, 2, 3, 1, false, 54),
+        (20622, 3, 33, 1, false, 57),
+        (23122, 7, 6, 1, false, 43),
+        (23387, 3, 34, 1, true, 57),
+        (25285, 2, 4, 1, true, 54),
+        (25311, 11, 124, 1, true, 200),
+        (25457, 7, 7, 1, true, 43),
+        (26007, 10, 46, 1, false, 71),
+        (27227, 10, 47, 1, true, 71),
+        (27998, 5, 123, 1, true, 200),
+        (30214, 9, 129, 1, false, 150),
+        (30270, 9, 130, 1, true, 150),
+    ];
+    let trace = chaos_trace();
+    let got: Vec<_> = trace
+        .requests
+        .iter()
+        .map(|r| {
+            (r.arrival_ns, r.session, r.prefix_len, r.appended, r.last_turn, r.entry.pattern.n_real)
+        })
+        .collect();
+    assert_eq!(got, EXPECTED);
+    assert!(trace.requests.iter().enumerate().all(|(i, r)| r.id == i));
+    assert!(trace.requests.iter().all(|r| r.deadline_ns == Some(r.arrival_ns + 100_000)));
+}
+
+#[test]
+fn chaos_report_replays_bit_identically_across_worker_counts() {
+    // Everything at once: a mixed-workload trace, unit-level chaos forked
+    // per node, node deaths + stragglers + flapping, probes, hedging,
+    // autoscaling, and per-node decode caches.
+    let trace = chaos_trace();
     let horizon = trace.requests.last().expect("non-empty").arrival_ns;
     let cluster_config = ClusterConfig {
         initial_active: Some(4),
