@@ -319,16 +319,34 @@ impl ElsaAttention {
         }
     }
 
-    /// Computes candidate lists for every query of an invocation.
+    /// Computes candidate lists for every query of an invocation: preprocesses
+    /// its keys, then selects through [`candidates_with`](Self::candidates_with).
+    #[must_use]
+    pub fn candidates(&self, inputs: &AttentionInputs) -> (Vec<Vec<usize>>, SelectionStats) {
+        self.candidates_with(inputs, &PreprocessedKeys::compute(&self.params, inputs.key()))
+    }
+
+    /// Computes candidate lists for every query of an invocation whose keys
+    /// are already preprocessed — for example a decode prefix extended by
+    /// [`PreprocessedKeys::append`], which matches
+    /// [`PreprocessedKeys::compute`] bit for bit.
     ///
     /// Queries are independent, so hashing + selection fans out across worker
     /// threads when the invocation is large enough; per-query results are
     /// collected in query order and the statistics are folded serially in
     /// that same order, so both outputs are bit-identical to the serial loop
     /// at any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pre` does not hold exactly one entry per key of `inputs`.
     #[must_use]
-    pub fn candidates(&self, inputs: &AttentionInputs) -> (Vec<Vec<usize>>, SelectionStats) {
-        let pre = PreprocessedKeys::compute(&self.params, inputs.key());
+    pub fn candidates_with(
+        &self,
+        inputs: &AttentionInputs,
+        pre: &PreprocessedKeys,
+    ) -> (Vec<Vec<usize>>, SelectionStats) {
+        assert_eq!(pre.len(), inputs.num_keys(), "preprocessed keys do not match the invocation");
         let mut stats = SelectionStats {
             total_pairs: inputs.num_queries() * inputs.num_keys(),
             num_queries: inputs.num_queries(),
@@ -341,7 +359,7 @@ impl ElsaAttention {
         let work = inputs.num_queries().saturating_mul(per_query);
         let select_one = |i: usize| {
             let qh = self.params.hasher.hash(inputs.query().row(i));
-            self.select_candidates(&qh, &pre)
+            self.select_candidates(&qh, pre)
         };
         let per_query_results: Vec<(Vec<usize>, bool)> = if elsa_parallel::beneficial(work) {
             elsa_parallel::par_map_indexed(inputs.num_queries(), select_one)

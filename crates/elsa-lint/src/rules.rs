@@ -129,7 +129,7 @@ impl RuleId {
             RuleId::ThreadsEnv => 2,
             RuleId::ReductionOrder => 3,
             RuleId::ArithmeticHeadroom => 4,
-            RuleId::PanicPolicy => 16,
+            RuleId::PanicPolicy => 12,
             RuleId::TryPanicPairing => 2,
             RuleId::PanicReachability => 2,
             RuleId::OfflineDeps => 2,

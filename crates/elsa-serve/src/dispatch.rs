@@ -452,8 +452,8 @@ impl OnlineServer {
     /// unit.
     pub fn serve_batch(&self, requests: &[AttentionInputs]) -> Result<ServedBatch, RuntimeError> {
         let runs = precompute(requests.iter().map(|r| (r.num_keys(), r.dim())), |i| {
-            profile(&self.accel, self.accel.config(), &requests[i], None)
-                .map(|(prepared, run)| (prepared, run.output))
+            let run = self.accel.try_run(&requests[i])?;
+            Ok((profile(self.accel.config(), &run, None), run.output))
         })?;
         let health = self.healthy_pool()?;
         let (prepared, approximate): (Vec<PreparedRequest>, Vec<Matrix>) =

@@ -32,21 +32,29 @@
 //! outputs builds them afterwards from the records (see
 //! [`OnlineServer::serve_batch`](crate::dispatch::OnlineServer::serve_batch)).
 //!
-//! Precompute stays outside the engine (e.g. [`prepare_turns`]): the only
-//! parallel stage, fanned out in arrival order under the same
-//! `elsa_parallel` gate as the offline `InferenceServer`, so reports are
-//! bit-identical at any `ELSA_THREADS` no matter how many engines share
-//! the prepared slice. It reduces each request to a [`PreparedRequest`]
-//! service profile and drops the inputs; the engine re-materializes a
-//! request through its input lookup only to time a padded batch.
+//! Precompute stays outside the engine and is its only parallel stage,
+//! fanned out under the same `elsa_parallel` gate as the offline
+//! `InferenceServer`: plain requests one per task, session turns
+//! ([`prepare_turns`]) one *session* per task, walking the session's turns
+//! in order with one incrementally extended key preprocessing. Results
+//! land in arrival order, so reports are bit-identical at any
+//! `ELSA_THREADS` no matter how many engines share the prepared slice.
+//! Precompute reduces each request to a [`PreparedRequest`] service
+//! profile and drops the inputs; the engine re-materializes a request
+//! through its input lookup only to time a padded batch.
+
+use std::collections::BTreeMap;
 
 use elsa_attention::exact::AttentionInputs;
+use elsa_core::attention::PreprocessedKeys;
 use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker};
 use elsa_linalg::reduce::sum_f64;
 use elsa_linalg::Matrix;
 use elsa_runtime::RuntimeError;
 use elsa_sim::cycle::simulate_execution_base;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
+use elsa_workloads::sessions::turn_inputs;
+use elsa_workloads::trace::TraceEntry;
 
 use crate::arrival::ArrivalRequest;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
@@ -88,47 +96,59 @@ pub(crate) fn guard_trips(report: &RunReport) -> bool {
         || report.output.as_slice().iter().any(|v| !(v.abs() < SATURATION_LIMIT))
 }
 
-/// Runs one request's approximate pipeline and reduces it to its service
-/// profile, keeping the run for a caller that serves its output.
+/// Reduces one request's approximate run to its service profile.
 /// `appended` is the token count a session-cache hit preprocesses (`None`
 /// outside session serving, where the hit cost is the full cost).
 pub(crate) fn profile(
-    accel: &ElsaAccelerator,
     accel_config: &AcceleratorConfig,
-    inputs: &AttentionInputs,
+    run: &RunReport,
     appended: Option<usize>,
-) -> Result<(PreparedRequest, RunReport), FitError> {
-    let run = accel.try_run(inputs)?;
+) -> PreparedRequest {
     let service_s = run.cycles.seconds(accel_config);
     let hit_service_s = appended.map_or(service_s, |appended| {
         let hit_cycles = run.cycles.total() - run.cycles.preprocessing
             + accel_config.preprocessing_cycles(appended);
         hit_cycles as f64 * accel_config.cycle_time_s()
     });
-    let n_queries = inputs.num_queries();
-    Ok((PreparedRequest { service_s, hit_service_s, n_queries, trips: guard_trips(&run) }, run))
+    let n_queries = run.stats.num_queries;
+    PreparedRequest { service_s, hit_service_s, n_queries, trips: guard_trips(run) }
 }
 
-/// Runs `run_one` over every request in index order — fanned out over
-/// worker threads when Σ n²·d over the requests' `(n, d)` shapes clears the
-/// `elsa_parallel` gate — and surfaces the first misfit as a typed error.
-/// Results are bit-identical at any `ELSA_THREADS`.
+/// Maps `run_one` over `0..len` — fanned out over worker threads when Σ
+/// n²·d over the `(n, d)` shapes of the requests behind it clears the
+/// `elsa_parallel` gate. Results come back in index order at any
+/// `ELSA_THREADS`.
+fn fan_out<T: Send>(
+    shapes: impl Iterator<Item = (usize, usize)>,
+    len: usize,
+    run_one: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let work: usize = shapes.map(|(n, d)| n.saturating_mul(n).saturating_mul(d)).sum();
+    if elsa_parallel::beneficial(work) && len > 1 {
+        elsa_parallel::par_map_indexed(len, run_one)
+    } else {
+        (0..len).map(run_one).collect()
+    }
+}
+
+/// Collects per-request results given in ascending request-index order,
+/// surfacing the first misfit as a typed error naming its request.
+fn first_misfit<T>(
+    runs: impl Iterator<Item = (usize, Result<T, FitError>)>,
+) -> Result<Vec<T>, RuntimeError> {
+    runs.map(|(index, run)| run.map_err(|source| RuntimeError::Request { index, source }))
+        .collect()
+}
+
+/// Runs `run_one` over every request in index order (see [`fan_out`]) and
+/// surfaces the first misfit as a typed error. Results are bit-identical
+/// at any `ELSA_THREADS`.
 pub(crate) fn precompute<T: Send>(
     shapes: impl ExactSizeIterator<Item = (usize, usize)>,
     run_one: impl Fn(usize) -> Result<T, FitError> + Sync,
 ) -> Result<Vec<T>, RuntimeError> {
     let len = shapes.len();
-    let work: usize = shapes.map(|(n, d)| n.saturating_mul(n).saturating_mul(d)).sum();
-    let runs: Vec<Result<T, FitError>> = if elsa_parallel::beneficial(work) && len > 1 {
-        elsa_parallel::par_map_indexed(len, run_one)
-    } else {
-        (0..len).map(run_one).collect()
-    };
-    let mut prepared = Vec::with_capacity(runs.len());
-    for (index, run) in runs.into_iter().enumerate() {
-        prepared.push(run.map_err(|source| RuntimeError::Request { index, source })?);
-    }
-    Ok(prepared)
+    first_misfit(fan_out(shapes, len, run_one).into_iter().enumerate())
 }
 
 /// Checks a trace's `(id, arrival_ns)` pairs: arrivals sorted by time, ids
@@ -163,27 +183,98 @@ pub(crate) fn prepare_entries(
     requests: &[ArrivalRequest],
 ) -> Result<Vec<PreparedRequest>, RuntimeError> {
     precompute(requests.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)), |i| {
-        let inputs = requests[i].entry.materialize();
-        profile(accel, accel.config(), &inputs, None).map(|(prepared, _)| prepared)
+        let run = accel.try_run(&requests[i].entry.materialize())?;
+        Ok(profile(accel.config(), &run, None))
     })
 }
 
 /// Precomputes the service profile of every turn of a session trace,
 /// full-cost and cache-hit service seconds both.
 ///
+/// Turns are grouped by session and the sessions fan out over worker
+/// threads when Σ n²·d over the turns clears the `elsa_parallel` gate (the
+/// gate plain traces fan out under). A worker materializes its session's context once — again only
+/// when a later turn carries a different entry — slices every turn from
+/// it, and extends one [`PreprocessedKeys`] by each turn's new keys
+/// instead of rehashing the prefix. The profiles are bit-identical to
+/// running every turn from scratch through [`ElsaAccelerator::try_run`]:
+/// appending keys in order reproduces [`PreprocessedKeys::compute`]
+/// exactly, and the cycle model still charges full-context preprocessing.
+///
 /// # Errors
 ///
-/// Returns [`RuntimeError::Request`] for the first turn that does not fit
-/// the hardware.
+/// Returns [`RuntimeError::Request`] for the first turn, in trace order,
+/// that does not fit the hardware.
 pub fn prepare_turns(
     accel: &ElsaAccelerator,
     accel_config: &AcceleratorConfig,
     turns: &[SessionTurnRequest],
 ) -> Result<Vec<PreparedRequest>, RuntimeError> {
-    precompute(turns.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)), |i| {
-        let inputs = turns[i].materialize();
-        profile(accel, accel_config, &inputs, Some(turns[i].appended)).map(|(prepared, _)| prepared)
+    let mut by_session: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (index, turn) in turns.iter().enumerate() {
+        by_session.entry(turn.session).or_default().push(index);
+    }
+    let sessions: Vec<Vec<usize>> = by_session.into_values().collect();
+    let mut session_of = vec![0; turns.len()];
+    for (s, indices) in sessions.iter().enumerate() {
+        for &index in indices {
+            session_of[index] = s;
+        }
+    }
+    let shapes = turns.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d));
+    let mut runs: Vec<_> = fan_out(shapes, sessions.len(), |s| {
+        prepare_session(accel, accel_config, turns, &sessions[s])
     })
+    .into_iter()
+    .map(Vec::into_iter)
+    .collect();
+    // Back into trace order. A session's walk stops at its first misfit, so
+    // a turn left without a result follows a misfit with a lower index,
+    // which `first_misfit` surfaces before reaching it.
+    first_misfit(
+        session_of.iter().enumerate().filter_map(|(index, &s)| Some((index, runs[s].next()?))),
+    )
+}
+
+/// Profiles one session's turns (`indices`, ascending) in order, walking
+/// one incremental key preprocessing state along the session's prefix.
+/// The walk stops at the session's first misfit.
+fn prepare_session(
+    accel: &ElsaAccelerator,
+    accel_config: &AcceleratorConfig,
+    turns: &[SessionTurnRequest],
+    indices: &[usize],
+) -> Vec<Result<PreparedRequest, FitError>> {
+    let params = accel.operator().params();
+    let mut profiles = Vec::with_capacity(indices.len());
+    let mut context: Option<(&TraceEntry, AttentionInputs)> = None;
+    let mut pre = PreprocessedKeys::empty();
+    for turn in indices.iter().map(|&index| &turns[index]) {
+        let full = match context {
+            Some((entry, ref full)) if *entry == turn.entry => full,
+            _ => {
+                pre = PreprocessedKeys::empty();
+                &context.insert((&turn.entry, turn.entry.materialize())).1
+            }
+        };
+        if turn.prefix_len < pre.len() {
+            pre = PreprocessedKeys::empty();
+        }
+        let inputs = turn_inputs(full, turn.prefix_len, turn.appended);
+        // Fit first: hashing keys of the wrong dimension panics.
+        let run = accel.try_check_fit(&inputs).and_then(|()| {
+            for row in pre.len()..turn.prefix_len {
+                pre.append(params, full.key().row(row));
+            }
+            accel.try_run_with(&inputs, &pre)
+        });
+        let failed = run.is_err();
+        profiles.push(run.map(|run| profile(accel_config, &run, Some(turn.appended))));
+        if failed {
+            break;
+        }
+    }
+    profiles
 }
 
 /// Builds the admission entries of a plain trace: each request routes to

@@ -1,6 +1,7 @@
 //! The assembled accelerator: algorithm + performance + energy in one call.
 
 use elsa_attention::exact::AttentionInputs;
+use elsa_core::attention::PreprocessedKeys;
 use elsa_core::{ElsaAttention, SelectionStats};
 use elsa_linalg::Matrix;
 
@@ -130,8 +131,32 @@ impl ElsaAccelerator {
     ///
     /// Returns [`FitError::RequestTooLarge`] or [`FitError::RequestDim`].
     pub fn try_run(&self, inputs: &AttentionInputs) -> Result<RunReport, FitError> {
+        // Before preprocessing: hashing keys of the wrong dimension panics.
         self.try_check_fit(inputs)?;
-        let (candidates, stats) = self.operator.candidates(inputs);
+        self.try_run_with(inputs, &PreprocessedKeys::compute(self.operator.params(), inputs.key()))
+    }
+
+    /// [`try_run`](Self::try_run) over keys the caller has already
+    /// preprocessed, e.g. a decode prefix extended by
+    /// [`PreprocessedKeys::append`]. Only host work shrinks: the cycle
+    /// model still charges the invocation's full-context preprocessing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FitError::RequestTooLarge`] or [`FitError::RequestDim`], or
+    /// [`FitError::PreprocessedKeys`] when `pre` does not hold exactly one
+    /// entry per key of `inputs`.
+    pub fn try_run_with(
+        &self,
+        inputs: &AttentionInputs,
+        pre: &PreprocessedKeys,
+    ) -> Result<RunReport, FitError> {
+        self.try_check_fit(inputs)?;
+        if pre.len() != inputs.num_keys() {
+            let n = inputs.num_keys();
+            return Err(FitError::PreprocessedKeys { n, preprocessed: pre.len() });
+        }
+        let (candidates, stats) = self.operator.candidates_with(inputs, pre);
         let output = elsa_attention::exact::attention_with_candidates(
             inputs,
             &candidates,

@@ -48,6 +48,13 @@ pub enum FitError {
         /// Head dimension the hardware is configured for.
         hardware_d: usize,
     },
+    /// Preprocessed keys handed to a run do not match its invocation.
+    PreprocessedKeys {
+        /// Number of keys in the invocation.
+        n: usize,
+        /// Number of preprocessed keys supplied.
+        preprocessed: usize,
+    },
 }
 
 impl fmt::Display for FitError {
@@ -68,6 +75,10 @@ impl fmt::Display for FitError {
             FitError::RequestDim { input_d, hardware_d } => write!(
                 f,
                 "head dimension mismatch: invocation d = {input_d}, hardware d = {hardware_d}"
+            ),
+            FitError::PreprocessedKeys { n, preprocessed } => write!(
+                f,
+                "{preprocessed} preprocessed keys do not match invocation n = {n}"
             ),
         }
     }

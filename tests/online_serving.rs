@@ -24,6 +24,10 @@
 //!   [`SessionReport`] is bit-identical across worker counts; the
 //!   degenerate configuration (capacity = ∞, single-turn traces) stays
 //!   bit-identical to today's [`OnlineServer::serve`].
+//! * **(f) Decode preparation** — `prepare_turns` walks each session once
+//!   with incrementally extended key preprocessing, yet its profiles equal
+//!   per-turn from-scratch runs bit for bit at any worker count, and a
+//!   misfit names the lowest failing turn, not a session.
 //!
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test online_serving`.
@@ -31,18 +35,19 @@
 use std::sync::OnceLock;
 
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
+use elsa::cluster::{Cluster, ClusterConfig};
 use elsa::fault::{FaultPlan, FaultRates};
 use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
-use elsa::runtime::InferenceServer;
+use elsa::runtime::{InferenceServer, RuntimeError};
 use elsa::serve::{
-    ArrivalConfig, ArrivalTrace, Backpressure, BatchPolicy, BatcherMode, CacheConfig,
-    EvictionPolicy, OnlineServer, Outcome, ServeConfig, ServeReport, SessionArrivalConfig,
-    SessionTrace,
+    prepare_turns, ArrivalConfig, ArrivalTrace, Backpressure, BatchPolicy, BatcherMode,
+    CacheConfig, EvictionPolicy, OnlineServer, Outcome, PreparedRequest, ServeConfig, ServeReport,
+    SessionArrivalConfig, SessionTrace, SessionTurnRequest,
 };
-use elsa::sim::AcceleratorConfig;
-use elsa::workloads::trace::WorkloadTrace;
-use elsa::workloads::{DatasetKind, ModelKind, Workload};
+use elsa::sim::{AcceleratorConfig, ElsaAccelerator, FitError};
+use elsa::workloads::trace::{TraceEntry, WorkloadTrace};
+use elsa::workloads::{DatasetKind, FleetMix, ModelKind, Workload};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -399,5 +404,158 @@ fn degenerate_session_serving_matches_plain_online_server_bitwise() {
         assert_eq!(session.cache.stale, 0);
         assert_eq!(session.cache.evictions, 0);
         assert_eq!(session.cache.cold, plain.served_count() as u64);
+    }
+}
+
+// ---- (f) decode preparation: grouped by session ≡ per turn ----
+
+/// Bit-exact projection of prepared service profiles.
+fn profile_bits(prepared: &[PreparedRequest]) -> Vec<(u64, u64, usize, bool)> {
+    prepared
+        .iter()
+        .map(|p| (p.service_s.to_bits(), p.hit_service_s.to_bits(), p.n_queries, p.trips))
+        .collect()
+}
+
+/// The per-turn reference `prepare_turns` must reproduce: every turn
+/// materialized on its own, run from scratch through `try_run`, and reduced
+/// with the serving engine's arithmetic (full-cost seconds, hit seconds
+/// with only the appended tokens preprocessed, the numeric guard).
+fn per_turn_profile_bits(
+    accel: &ElsaAccelerator,
+    turns: &[SessionTurnRequest],
+) -> Vec<(u64, u64, usize, bool)> {
+    let cfg = accel.config();
+    turns
+        .iter()
+        .map(|turn| {
+            let inputs = turn.materialize();
+            let run = accel.try_run(&inputs).expect("every turn fits");
+            let hit_cycles = run.cycles.total() - run.cycles.preprocessing
+                + cfg.preprocessing_cycles(turn.appended);
+            let trips = (run.stats.num_queries > 0 && run.stats.selected_pairs == 0)
+                || run.output.as_slice().iter().any(|v| v.is_nan() || v.abs() >= f32::MAX);
+            (
+                run.cycles.seconds(cfg).to_bits(),
+                (hit_cycles as f64 * cfg.cycle_time_s()).to_bits(),
+                inputs.num_queries(),
+                trips,
+            )
+        })
+        .collect()
+}
+
+/// Recommender-only mix whose lengths all fit the battery's `n_max`.
+fn rec_mix() -> FleetMix {
+    FleetMix::new(vec![
+        (workload(), 3.0),
+        (Workload { model: ModelKind::Bert4Rec, dataset: DatasetKind::MovieLens1M }, 1.0),
+    ])
+}
+
+fn entry(n_real: usize, seed: u64) -> TraceEntry {
+    TraceEntry { pattern: workload().pattern_config(n_real), seed }
+}
+
+/// A hand-built session trace from `(session, entry, prefix_len, appended)`
+/// turns in arrival order.
+fn hand_trace(turns: &[(u64, TraceEntry, usize, usize)]) -> SessionTrace {
+    let requests = turns
+        .iter()
+        .enumerate()
+        .map(|(id, &(session, entry, prefix_len, appended))| SessionTurnRequest {
+            id,
+            arrival_ns: 1_000 * id as u64,
+            deadline_ns: None,
+            session,
+            prefix_len,
+            appended,
+            last_turn: false,
+            entry,
+        })
+        .collect();
+    SessionTrace { requests }
+}
+
+/// Everything the grouped walk must not be fooled by: sessions whose ids
+/// are not in arrival order and interleave; a session whose turns switch
+/// to a different entry and back; a session whose prefix shrinks, repeats
+/// and jumps by more than the appended tokens.
+fn adversarial_trace() -> SessionTrace {
+    let (a, b, c, d) = (entry(48, 1), entry(40, 2), entry(60, 3), entry(50, 4));
+    hand_trace(&[
+        (7, a, 20, 20),
+        (3, b, 12, 12),
+        (7, a, 21, 1),
+        (5, c, 30, 30),
+        (3, b, 13, 1),
+        (5, c, 25, 2),
+        (7, d, 22, 1),
+        (3, b, 13, 1),
+        (5, c, 31, 6),
+        (7, d, 26, 4),
+        (7, a, 23, 2),
+        (5, c, 60, 1),
+        (3, b, 40, 27),
+    ])
+}
+
+#[test]
+fn grouped_turn_preparation_matches_per_turn_runs_bit_for_bit() {
+    let accel = ElsaAccelerator::new(config(), operator().clone());
+    let sessions = SessionArrivalConfig {
+        lambda_per_s: 100_000.0,
+        sessions: 8,
+        slo_ns: Some(2_000_000),
+        max_decode_turns: Some(5),
+    };
+    let traces = [
+        ("generate", SessionTrace::generate(&workload(), &sessions, &mut SeededRng::new(0x9A01))),
+        ("mixed", SessionTrace::generate_mixed(&rec_mix(), &sessions, &mut SeededRng::new(0x9A02))),
+        ("adversarial", adversarial_trace()),
+    ];
+    for (label, trace) in &traces {
+        let reference = per_turn_profile_bits(&accel, &trace.requests);
+        for workers in WORKER_COUNTS {
+            let prepared = with_threads(workers, || {
+                prepare_turns(&accel, accel.config(), &trace.requests).expect("every turn fits")
+            });
+            assert_eq!(profile_bits(&prepared), reference, "{label} trace, threads={workers}");
+        }
+    }
+}
+
+#[test]
+fn session_misfit_names_the_lowest_failing_turn() {
+    // Sessions 8 and 2 each outgrow n_max = 200 on a later turn; session 2
+    // comes first in session order but fails at the higher turn index, and
+    // earlier turns of every session fit. The error must name turn 4.
+    let (small, big_a, big_b) = (entry(50, 11), entry(240, 12), entry(240, 13));
+    let trace = hand_trace(&[
+        (9, small, 40, 40),
+        (2, big_a, 150, 150),
+        (9, small, 41, 1),
+        (8, big_b, 190, 190),
+        (8, big_b, 205, 15),
+        (2, big_a, 199, 49),
+        (2, big_a, 230, 31),
+        (9, small, 50, 9),
+    ]);
+    let expected = RuntimeError::Request {
+        index: 4,
+        source: FitError::RequestTooLarge { n: 205, n_max: 200 },
+    };
+    let server =
+        OnlineServer::new(config(), operator().clone(), FaultPlan::none(), ServeConfig::default());
+    let cluster = Cluster::new(
+        ClusterConfig::baseline(2, config(), ServeConfig::default()),
+        operator().clone(),
+    );
+    for workers in WORKER_COUNTS {
+        with_threads(workers, || {
+            let served = server.serve_sessions(&trace, CacheConfig::unbounded());
+            assert_eq!(served.unwrap_err(), expected, "serve_sessions, threads={workers}");
+            assert_eq!(cluster.serve(&trace).unwrap_err(), expected, "cluster, threads={workers}");
+        });
     }
 }

@@ -24,10 +24,14 @@
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test session_equivalence`.
 
+use elsa::algorithm::attention::PreprocessedKeys;
 use elsa::algorithm::{ElsaAttention, ElsaParams, ElsaSession, StreamingSession};
+use elsa::attention::exact::AttentionInputs;
 use elsa::linalg::{ops, Matrix, SeededRng};
 use elsa::parallel::with_threads;
 use elsa::serve::{CacheConfig, EvictionPolicy, SessionRegistry};
+use elsa::sim::{AcceleratorConfig, ElsaAccelerator, EnergyBreakdown, FitError};
+use elsa::workloads::sessions::turn_inputs;
 use elsa::workloads::Workload;
 use elsa_testkit::prelude::*;
 
@@ -48,6 +52,11 @@ fn random_context(n: usize, d: usize, seed: u64) -> (ElsaAttention, Matrix, Matr
     let queries = Matrix::from_fn(n, d, |_, _| rng.standard_normal() as f32);
     let operator = ElsaAttention::with_threshold(ElsaParams::for_dims(d, d, &mut rng), 0.4);
     (operator, queries, keys, values)
+}
+
+fn energy_bits(energy: &EnergyBreakdown) -> Vec<u64> {
+    let modules = energy.per_module.iter().map(|&(_, j)| j.to_bits());
+    modules.chain([energy.static_energy_j.to_bits()]).collect()
 }
 
 /// The full 0-ulp comparison: appended state vs from-scratch state, then
@@ -202,6 +211,95 @@ fn single_token_and_prime_n_decode_corners() {
             j + 1
         );
     }
+}
+
+/// The decode-preparation entry points: a turn run over keys preprocessed
+/// by appending the turn's new rows to the previous turn's state
+/// (`ElsaAccelerator::try_run_with`, `ElsaAttention::candidates_with`) is
+/// bit-identical to the from-scratch `try_run` / `candidates` — output
+/// bits, `SelectionStats`, cycles and energy — across the workload zoo,
+/// along a prefix ladder that grows by one key, by several keys, and to
+/// the full context, at threads {1, 2, 4}.
+#[test]
+fn appended_prefix_runs_match_from_scratch_runs_across_the_zoo() {
+    for workload in Workload::all() {
+        for workers in THREAD_COUNTS {
+            with_threads(workers, || {
+                let mut rng = SeededRng::new(0x5E55_0007);
+                let full = workload.generate_invocation(&mut rng);
+                let n = full.num_keys();
+                let d = full.dim();
+                let operator =
+                    ElsaAttention::with_threshold(ElsaParams::for_dims(d, d, &mut rng), 0.4);
+                let accel = ElsaAccelerator::new(
+                    AcceleratorConfig { d, k: d, ..AcceleratorConfig::paper() },
+                    operator.clone(),
+                );
+                let prompt = n / 2;
+                // Prefill, two one-key decode steps, a multi-key jump, the
+                // full context.
+                let ladder = [
+                    (prompt, prompt),
+                    (prompt + 1, 1),
+                    (prompt + 2, 1),
+                    (n - 3, n - 3 - prompt - 2),
+                    (n, 3),
+                ];
+                let mut pre = PreprocessedKeys::empty();
+                for (prefix_len, appended) in ladder {
+                    let label = format!("{workload} prefix {prefix_len} (threads={workers})");
+                    for row in pre.len()..prefix_len {
+                        pre.append(operator.params(), full.key().row(row));
+                    }
+                    let turn = turn_inputs(&full, prefix_len, appended);
+                    let (cands, stats) = operator.candidates_with(&turn, &pre);
+                    assert_eq!((cands, stats), operator.candidates(&turn), "{label}: candidates");
+                    let with = accel.try_run_with(&turn, &pre).expect("fits");
+                    let scratch = accel.try_run(&turn).expect("fits");
+                    assert_eq!(
+                        f32_bits(with.output.as_slice()),
+                        f32_bits(scratch.output.as_slice()),
+                        "{label}: outputs"
+                    );
+                    assert_eq!(with.stats, scratch.stats, "{label}: stats");
+                    assert_eq!(with.cycles, scratch.cycles, "{label}: cycles");
+                    let energy = (energy_bits(&with.energy), energy_bits(&scratch.energy));
+                    assert_eq!(energy.0, energy.1, "{label}: energy");
+                }
+            });
+        }
+    }
+}
+
+/// Preprocessed keys whose count differs from the invocation's are
+/// rejected, never used: `try_run_with` returns a typed error for a state
+/// one key short and one key long.
+#[test]
+fn mismatched_preprocessed_keys_are_a_typed_error() {
+    let (operator, q, k, v) = random_context(24, 64, 0x5E55_0008);
+    let accel = ElsaAccelerator::new(AcceleratorConfig::paper(), operator.clone());
+    let inputs = AttentionInputs::new(q.row_slice(20..24), k.row_slice(0..24), v.row_slice(0..24));
+    for len in [23, 25] {
+        let mut pre = PreprocessedKeys::empty();
+        for row in 0..len {
+            pre.append(operator.params(), k.row(row % 24));
+        }
+        assert_eq!(
+            accel.try_run_with(&inputs, &pre).unwrap_err(),
+            FitError::PreprocessedKeys { n: 24, preprocessed: len }
+        );
+    }
+}
+
+/// The operator-level entry point has no error channel: a mismatched state
+/// fails its documented assertion instead of selecting over the wrong keys.
+#[test]
+#[should_panic(expected = "preprocessed keys do not match the invocation")]
+fn mismatched_preprocessed_keys_panic_in_candidates_with() {
+    let (operator, q, k, v) = random_context(10, 16, 0x5E55_0009);
+    let inputs = AttentionInputs::new(q, k.clone(), v);
+    let pre = PreprocessedKeys::compute(operator.params(), &k.row_slice(0..9));
+    let _ = operator.candidates_with(&inputs, &pre);
 }
 
 // ---------------------------------------------------------------------------
